@@ -32,7 +32,7 @@ from .harness import (
     run_sequence,
     sweep,
 )
-from .kmeans import Codebook, IndexAssignment, assign_nearest, kmeans_fit, kmeans_objective
+from .kmeans import Codebook, IndexAssignment, kmeans_fit
 from .nn import (
     DenseParams,
     GradientSet,
@@ -42,7 +42,6 @@ from .nn import (
     init_network,
     sgd_step,
     softmax,
-    softmax_cross_entropy,
 )
 from .objectives import (
     AugmentationConfig,
@@ -52,12 +51,11 @@ from .objectives import (
     nt_xent_loss,
     supervised_ce_loss,
 )
-from .probe import ProbeConfig, extract_features, linear_probe, subset_sample
+from .probe import ProbeConfig, linear_probe, subset_sample
 from .regularizer import (
     DecorState,
     PredictorConfig,
-    combined_loss_ssl,
-    combined_loss_supervised,
+    combined_loss,
     deserialize_state,
     distill_loss,
     increment,

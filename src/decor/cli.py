@@ -9,8 +9,9 @@
 (columns: method,T,K,L,lambda,seed,t,A_t,F_t,storage_bits,wall_ms).
 `sweep` additionally appends one summary row per grid point to
 sweep_summary.csv. `report` prints a method-level table (mean and std over
-seeds of the final A_T / F_T plus storage) and writes accuracy-over-time
-curves to curves.csv next to the results file.
+seeds of the final A_T / F_T, and the mean over seeds of each run's peak
+stored state: the decor index table or the LwF teacher) and writes
+accuracy-over-time curves to curves.csv next to the results file.
 
 Exit codes: 0 success, 1 runtime failure or missing/empty inputs,
 2 invalid configuration (the message names the offending key).
@@ -175,21 +176,14 @@ def cmd_report(args) -> int:
     for record in records:
         by_method[record.method].append(record)
 
-    header = f"{'method':<14} {'runs':>4} {'A_T':>16} {'F_T':>16} {'storage':>12}"
+    header = f"{'method':<14} {'runs':>4} {'A_T':>16} {'F_T':>16} {'peak storage':>12}"
     print(header)
     print("-" * len(header))
     for method in sorted(by_method):
         group = by_method[method]
         a = np.array([r.avg_accuracy[-1] for r in group])
         f = np.array([r.forgetting[-1] for r in group])
-        storages = []
-        for r in group:
-            if r.teacher_bytes:
-                storages.append(float(r.teacher_bytes))
-            else:
-                # mean serialized state size across tasks, matching the
-                # storage column convention of per-task averaging
-                storages.append(float(np.mean(r.state_bytes_per_task)))
+        storages = [max(r.teacher_bytes, *r.state_bytes_per_task) for r in group]
         print(
             f"{method:<14} {len(group):>4} "
             f"{a.mean():>8.2f} ± {a.std():<5.2f} "

@@ -1,24 +1,39 @@
 """Experiment configuration: schema, validation, file loading.
 
-Configs are YAML files with nested sections (see README for the schema).
-Parsing is total: every invalid value produces a ConfigError naming the
-offending key, never a traceback. All run randomness derives from the
-per-run seed through named streams, so records are reproducible.
+Configs are YAML files with nested sections. `SCHEMA` below is the one
+place the schema is written: it maps every YAML key to an ExperimentConfig
+field, and that field's declared type and default give the key's type and
+default. Parsing is total: every invalid value produces a ConfigError
+naming the offending YAML key, never a traceback. All run randomness
+derives from the per-run seed through named streams, so records are
+reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, fields as dc_fields
 
 import yaml
 
 from .data import SyntheticConfig, TaskDataset, generate_synthetic_tasks, load_feature_file
 from .errors import ConfigError
+from .objectives import AugmentationConfig
+from .probe import ProbeConfig
+from .regularizer import PredictorConfig
 from .seeds import sub_seed
 
-_VALID_METHODS = ("finetune", "decor", "lwf", "simclr", "simclr+decor", "simclr+lwf")
+# method tag -> (base objective, regularizer)
+METHODS = {
+    "finetune": ("supervised", "none"),
+    "decor": ("supervised", "decor"),
+    "lwf": ("supervised", "lwf"),
+    "simclr": ("simclr", "none"),
+    "simclr+decor": ("simclr", "decor"),
+    "simclr+lwf": ("simclr", "lwf"),
+}
 
 
 @dataclass
@@ -66,15 +81,10 @@ class ExperimentConfig:
     results_dir: str = "results"
 
     def validate(self) -> None:
-        if self.method not in _VALID_METHODS:
+        if self.method not in METHODS:
             raise ConfigError(f"method: unknown value {self.method!r}")
         if self.T < 1:
             raise ConfigError(f"T: must be >= 1, got {self.T}")
-        if "decor" in self.method:
-            if self.K < 2:
-                raise ConfigError(f"K: decor methods need K >= 2, got {self.K}")
-            if self.L < 1:
-                raise ConfigError(f"L: must be >= 1, got {self.L}")
         if self.lam < 0:
             raise ConfigError(f"lambda: must be >= 0, got {self.lam}")
         if self.epochs_per_task < 1:
@@ -93,58 +103,72 @@ class ExperimentConfig:
             raise ConfigError(f"encoder.out_dim: must be >= 1, got {self.encoder_out}")
         if any(h < 1 for h in self.encoder_hidden):
             raise ConfigError("encoder.hidden_dims: entries must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"augment.noise_sigma: must be >= 0, got {self.noise_sigma}")
-        if not 0 <= self.mask_fraction <= 1:
-            raise ConfigError(
-                f"augment.mask_fraction: must be in [0, 1], got {self.mask_fraction}"
-            )
         if self.nt_xent_temperature <= 0:
             raise ConfigError("nt_xent_temperature: must be > 0")
         if self.lwf_temperature <= 0:
             raise ConfigError("lwf.temperature: must be > 0")
         if self.lwf_weight < 0:
             raise ConfigError("lwf.weight: must be >= 0")
-        if self.probe_mode not in ("LEP", "SLEP"):
-            raise ConfigError(f"probe.mode: must be LEP or SLEP, got {self.probe_mode!r}")
-        if self.probe_samples_per_task < 1:
-            raise ConfigError("probe.samples_per_task: must be >= 1")
-        if self.probe_epochs < 1:
-            raise ConfigError("probe.epochs: must be >= 1")
-        if self.probe_lr <= 0:
-            raise ConfigError("probe.lr: must be > 0")
-        if self.probe_batch_size < 1:
-            raise ConfigError("probe.batch_size: must be >= 1")
         if self.data_source not in ("synthetic", "file"):
             raise ConfigError(f"data.source: must be synthetic or file, got {self.data_source!r}")
         if self.data_source == "file" and not self.data_path:
             raise ConfigError("data.path: required when data.source is file")
+        # the sub-configs check their own ranges
+        self.predictor_config()
+        self.augmentation_config(0)
+        self.probe_config(0)
         if self.data_source == "synthetic":
             if self.num_classes % self.T != 0:
                 raise ConfigError(
                     f"data.num_classes: {self.num_classes} not divisible by T={self.T}"
                 )
-            # constructing the generator config re-checks its own ranges
-            try:
-                self._synthetic_config(0)
-            except ConfigError as exc:
-                raise ConfigError(f"data: {exc}") from exc
+            self.synthetic_config(0)
 
-    def _synthetic_config(self, seed: int) -> SyntheticConfig:
-        return SyntheticConfig(
-            num_classes=self.num_classes,
-            feature_dim=self.feature_dim,
-            samples_per_class=self.samples_per_class,
-            class_separation=self.class_separation,
-            within_class_sigma=self.within_class_sigma,
-            drift_sigma=self.drift_sigma,
-            seed=seed,
+    def predictor_config(self) -> PredictorConfig:
+        return self._build(PredictorConfig, L="L", hidden_dim="predictor_hidden", K="K")
+
+    def augmentation_config(self, seed: int) -> AugmentationConfig:
+        return self._build(
+            AugmentationConfig, seed=seed, noise_sigma="noise_sigma", mask_fraction="mask_fraction"
         )
+
+    def probe_config(self, seed: int) -> ProbeConfig:
+        return self._build(
+            ProbeConfig,
+            seed=seed,
+            mode="probe_mode",
+            samples_per_task="probe_samples_per_task",
+            epochs="probe_epochs",
+            lr="probe_lr",
+            batch_size="probe_batch_size",
+        )
+
+    def synthetic_config(self, seed: int) -> SyntheticConfig:
+        # every SyntheticConfig field but the seed has the same name here
+        names = [f.name for f in dc_fields(SyntheticConfig) if f.name != "seed"]
+        return self._build(SyntheticConfig, seed=seed, **{n: n for n in names})
+
+    def _build(self, cls, seed: int | None = None, **sources: str):
+        """`cls` from the fields named in `sources` (its field -> ours).
+
+        The sub-config's errors start with its own field name; they are
+        re-raised under the YAML key that sets that field.
+        """
+        kwargs = {sub: getattr(self, name) for sub, name in sources.items()}
+        if seed is not None:
+            kwargs["seed"] = seed
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            sub, _, reason = str(exc).partition(": ")
+            if sub not in sources:
+                raise
+            raise ConfigError(f"{_YAML_KEYS[sources[sub]]}: {reason}") from exc
 
     def tasks_for_seed(self, seed: int) -> list[TaskDataset]:
         """Build (or load) the task sequence this run trains on."""
         if self.data_source == "synthetic":
-            return generate_synthetic_tasks(self._synthetic_config(sub_seed(seed, "data")), self.T)
+            return generate_synthetic_tasks(self.synthetic_config(sub_seed(seed, "data")), self.T)
         tasks = load_feature_file(self.data_path)
         if len(tasks) != self.T:
             raise ConfigError(f"T: config says {self.T} but {self.data_path} has {len(tasks)} tasks")
@@ -162,8 +186,8 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-# config-file key -> dataclass field, grouped by section
-_TOP_LEVEL_KEYS = {
+# YAML key -> ExperimentConfig field; a nested mapping is a section
+SCHEMA = {
     "method": "method",
     "T": "T",
     "K": "K",
@@ -176,8 +200,6 @@ _TOP_LEVEL_KEYS = {
     "seeds": "seeds",
     "nt_xent_temperature": "nt_xent_temperature",
     "results_dir": "results_dir",
-}
-_SECTION_KEYS = {
     "encoder": {"hidden_dims": "encoder_hidden", "out_dim": "encoder_out"},
     "predictor": {"hidden_dim": "predictor_hidden"},
     "projector": {"hidden_dim": "projector_hidden", "out_dim": "projector_out"},
@@ -202,37 +224,30 @@ _SECTION_KEYS = {
     },
 }
 
-_INT_FIELDS = {
-    "T", "K", "L", "epochs_per_task", "batch_size", "encoder_out", "predictor_hidden",
-    "projector_hidden", "projector_out", "probe_samples_per_task", "probe_epochs",
-    "probe_batch_size", "num_classes", "feature_dim", "samples_per_class",
+# ExperimentConfig field -> its YAML key ("section.key" inside a section)
+_YAML_KEYS = {name: key for key, name in SCHEMA.items() if isinstance(name, str)} | {
+    name: f"{section}.{sub}"
+    for section, entry in SCHEMA.items()
+    if isinstance(entry, dict)
+    for sub, name in entry.items()
 }
-_FLOAT_FIELDS = {
-    "lam", "lr", "momentum", "noise_sigma", "mask_fraction", "nt_xent_temperature",
-    "lwf_temperature", "lwf_weight", "probe_lr", "class_separation",
-    "within_class_sigma", "drift_sigma",
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _coerce(key: str, field_name: str, value):
+def _coerce(key: str, kind, value):
+    """`value` as the declared type `kind` (int, float, str or tuple[int, ...])."""
+    if kind == tuple[int, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list of integers (got {value!r})")
+        return tuple(_coerce(key, int, v) for v in value)
     try:
-        if field_name in _INT_FIELDS:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError("expected an integer")
-            return int(value)
-        if field_name in _FLOAT_FIELDS:
-            return float(value)
-        if field_name == "seeds":
-            if not isinstance(value, (list, tuple)):
-                raise ValueError("expected a list of integers")
-            return tuple(int(v) for v in value)
-        if field_name == "encoder_hidden":
-            if not isinstance(value, (list, tuple)):
-                raise ValueError("expected a list of integers")
-            return tuple(int(v) for v in value)
-        if not isinstance(value, str):
+        if kind is int and (
+            isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+        ):
+            raise ValueError("expected an integer")
+        if kind is str and not isinstance(value, str):
             raise ValueError("expected a string")
-        return value
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc} (got {value!r})") from exc
 
@@ -243,19 +258,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping")
     kwargs = {}
     for key, value in raw.items():
-        if key in _TOP_LEVEL_KEYS:
-            field_name = _TOP_LEVEL_KEYS[key]
-            kwargs[field_name] = _coerce(key, field_name, value)
-        elif key in _SECTION_KEYS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key}: expected a mapping of settings")
-            for sub, sub_value in value.items():
-                if sub not in _SECTION_KEYS[key]:
-                    raise ConfigError(f"{key}.{sub}: unknown key")
-                field_name = _SECTION_KEYS[key][sub]
-                kwargs[field_name] = _coerce(f"{key}.{sub}", field_name, sub_value)
-        else:
+        entry = SCHEMA.get(key)
+        if entry is None:
             raise ConfigError(f"{key}: unknown key")
+        if not isinstance(entry, dict):
+            kwargs[entry] = _coerce(key, _FIELD_TYPES[entry], value)
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: expected a mapping of settings")
+        for sub, sub_value in value.items():
+            if sub not in entry:
+                raise ConfigError(f"{key}.{sub}: unknown key")
+            kwargs[entry[sub]] = _coerce(f"{key}.{sub}", _FIELD_TYPES[entry[sub]], sub_value)
     config = ExperimentConfig(**kwargs)
     config.validate()
     return config

@@ -86,16 +86,6 @@ class TaskDataset:
         return self.subset(np.flatnonzero(self.split == "train"))
 
 
-def task_datasets_equal(a: TaskDataset, b: TaskDataset) -> bool:
-    return (
-        a.task_id == b.task_id
-        and np.array_equal(a.samples, b.samples)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.sample_ids, b.sample_ids)
-        and np.array_equal(a.split, b.split)
-    )
-
-
 def validate_task_sequence(tasks: list[TaskDataset]) -> None:
     """Class sets pairwise disjoint, sample ids unique across the sequence."""
     if not tasks:
@@ -126,15 +116,17 @@ class SyntheticConfig:
 
     def __post_init__(self) -> None:
         if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+            raise ConfigError(f"num_classes: must be >= 1, got {self.num_classes}")
         if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+            raise ConfigError(f"feature_dim: must be >= 1, got {self.feature_dim}")
         if self.samples_per_class < 1:
-            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+            raise ConfigError(f"samples_per_class: must be >= 1, got {self.samples_per_class}")
         if self.class_separation <= 0:
-            raise ConfigError(f"class_separation must be > 0, got {self.class_separation}")
-        if self.within_class_sigma < 0 or self.drift_sigma < 0:
-            raise ConfigError("sigmas must be >= 0")
+            raise ConfigError(f"class_separation: must be > 0, got {self.class_separation}")
+        if self.within_class_sigma < 0:
+            raise ConfigError(f"within_class_sigma: must be >= 0, got {self.within_class_sigma}")
+        if self.drift_sigma < 0:
+            raise ConfigError(f"drift_sigma: must be >= 0, got {self.drift_sigma}")
 
 
 def split_classes_into_tasks(num_classes: int, T: int, seed: int) -> list[list[int]]:

@@ -1,11 +1,21 @@
 """Continual-learning run orchestration and metrics.
 
-`run_sequence` trains an encoder through an ordered task sequence with the
-configured method, alternating boundary clustering (for the delayed-codebook
-regularizer) with in-task training, probing the frozen encoder at the end
-of every task. It fills a lower-triangular AccuracyMatrix from which the
-average seen-task accuracy A_t and the mean maximum forgetting F_t are
-computed:
+`run_sequence` trains an encoder through an ordered task sequence, probing
+the frozen encoder at the end of every task. Every method runs through one
+training step, built from two parts named by the method table in `config`:
+
+- the base objective picks the views and the head: one augmented view
+  through the classifier with cross-entropy over the seen classes, or two
+  views through the projector with NT-Xent;
+- the regularizer is a hook on view 0's gradients: none, LwF (adds
+  lwf_weight * dKL to the head output gradient) or decor (the index
+  predictor's lam-weighted gradient is added to the encoder output
+  gradient).
+
+At each boundary LwF snapshots the encoder and head, and decor clusters
+the next task's features into the index table. The probe results fill a
+lower-triangular AccuracyMatrix from which the average seen-task accuracy
+A_t and the mean maximum forgetting F_t are computed:
 
     A_t = (1/t) * sum_{j<=t} A[t][j]
     F_t = (1/(t-1)) * sum_{j<t} max_{tau<=t} (A[tau][j] - A[t][j])
@@ -18,15 +28,16 @@ regularizer with weight 0 replays the finetune trajectory bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
+from functools import reduce
 
 import numpy as np
 
 from . import nn
+from .config import METHODS, ExperimentConfig
 from .data import TaskDataset, validate_task_sequence
 from .errors import ConfigError, StateError
 from .objectives import (
-    AugmentationConfig,
     TeacherSnapshot,
     augment_two_views,
     augment_view,
@@ -34,10 +45,9 @@ from .objectives import (
     nt_xent_loss,
     supervised_ce_loss,
 )
-from .probe import ProbeConfig, evaluate_probe
+from .probe import evaluate_probe
 from .regularizer import (
     DecorState,
-    PredictorConfig,
     distill_loss,
     increment,
     init_index_predictor,
@@ -45,23 +55,6 @@ from .regularizer import (
     storage_bits,
 )
 from .seeds import sub_seed
-
-METHODS = ("finetune", "decor", "lwf", "simclr", "simclr+decor", "simclr+lwf")
-
-
-def method_parts(method: str) -> tuple[str, str]:
-    """(base objective, regularizer) for a method tag."""
-    table = {
-        "finetune": ("supervised", "none"),
-        "decor": ("supervised", "decor"),
-        "lwf": ("supervised", "lwf"),
-        "simclr": ("simclr", "none"),
-        "simclr+decor": ("simclr", "decor"),
-        "simclr+lwf": ("simclr", "lwf"),
-    }
-    if method not in table:
-        raise ConfigError(f"unknown method {method!r} (expected one of {METHODS})")
-    return table[method]
 
 
 class AccuracyMatrix:
@@ -99,16 +92,6 @@ class AccuracyMatrix:
     def rows(self) -> list[list[float]]:
         """Lower-triangular contents as nested lists (row t has t entries)."""
         return [[float(self._values[t, j]) for j in range(t + 1)] for t in range(self.T)]
-
-    @classmethod
-    def from_rows(cls, rows: list[list[float]]) -> "AccuracyMatrix":
-        matrix = cls(len(rows))
-        for t, row in enumerate(rows, start=1):
-            if len(row) != t:
-                raise ConfigError(f"row {t} must have {t} entries, got {len(row)}")
-            for j, value in enumerate(row, start=1):
-                matrix.set_entry(t, j, value)
-        return matrix
 
 
 def average_accuracy(A: AccuracyMatrix, t: int) -> float:
@@ -159,48 +142,12 @@ class RunRecord:
     wall_ms_total: float
     events: list = field(default_factory=list, repr=False, compare=False)
 
-    WALL_FIELDS = ("wall_ms_per_task", "wall_ms_total")
-
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "T": self.T,
-            "K": self.K,
-            "L": self.L,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "probe_mode": self.probe_mode,
-            "accuracy": self.accuracy,
-            "avg_accuracy": self.avg_accuracy,
-            "forgetting": self.forgetting,
-            "storage_bits_per_task": self.storage_bits_per_task,
-            "state_bytes_per_task": self.state_bytes_per_task,
-            "teacher_bytes": self.teacher_bytes,
-            "wall_ms_per_task": self.wall_ms_per_task,
-            "wall_ms_total": self.wall_ms_total,
-        }
+        return {_JSON_KEYS.get(name, name): getattr(self, name) for name in _JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunRecord":
-        return cls(
-            method=d["method"],
-            T=d["T"],
-            K=d["K"],
-            L=d["L"],
-            lam=d["lambda"],
-            seed=d["seed"],
-            config_hash=d["config_hash"],
-            probe_mode=d["probe_mode"],
-            accuracy=d["accuracy"],
-            avg_accuracy=d["avg_accuracy"],
-            forgetting=d["forgetting"],
-            storage_bits_per_task=d["storage_bits_per_task"],
-            state_bytes_per_task=d["state_bytes_per_task"],
-            teacher_bytes=d["teacher_bytes"],
-            wall_ms_per_task=d["wall_ms_per_task"],
-            wall_ms_total=d["wall_ms_total"],
-        )
+        return cls(**{name: d[_JSON_KEYS.get(name, name)] for name in _JSON_FIELDS})
 
     def assert_event_order(self) -> None:
         """The state used by task t must exist before task t trains at all."""
@@ -214,6 +161,12 @@ class RunRecord:
         for task, pos in built_at.items():
             if task in first_step and pos >= first_step[task]:
                 raise StateError(f"state for task {task} built after training began")
+
+
+# every RunRecord field but the in-memory `events` goes to JSON, under its
+# own name or the key given here
+_JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "events"]
+_JSON_KEYS = {"lam": "lambda"}
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -248,13 +201,15 @@ class _SgdMomentum:
         self._velocity.pop(name, None)
 
 
-def run_sequence(config, tasks: list[TaskDataset], seed: int) -> RunRecord:
+def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) -> RunRecord:
     """Train through the task sequence and evaluate at every boundary.
 
-    `config` is an ExperimentConfig (duck-typed here to avoid an import
-    cycle); `tasks` must be a class-disjoint sequence of length config.T.
+    `tasks` must be a class-disjoint sequence of length config.T.
     """
-    base, reg = method_parts(config.method)
+    if config.method not in METHODS:
+        raise ConfigError(f"method: unknown value {config.method!r}")
+    base, reg = METHODS[config.method]
+    contrastive = base == "simclr"
     validate_task_sequence(tasks)
     if len(tasks) != config.T:
         raise ConfigError(f"config.T={config.T} but {len(tasks)} tasks supplied")
@@ -265,17 +220,18 @@ def run_sequence(config, tasks: list[TaskDataset], seed: int) -> RunRecord:
         [in_dim, *config.encoder_hidden, config.encoder_out],
         seed=sub_seed(seed, "init-encoder"),
     )
-    classifier = nn.init_network(
-        [config.encoder_out, num_classes], seed=sub_seed(seed, "init-classifier")
-    )
-    projector = nn.init_network(
-        [config.encoder_out, config.projector_hidden, config.projector_out],
-        seed=sub_seed(seed, "init-projector"),
-    )
+    if contrastive:
+        head = nn.init_network(
+            [config.encoder_out, config.projector_hidden, config.projector_out],
+            seed=sub_seed(seed, "init-projector"),
+        )
+    else:
+        head = nn.init_network(
+            [config.encoder_out, num_classes], seed=sub_seed(seed, "init-classifier")
+        )
 
-    predictor_cfg = PredictorConfig(L=config.L, hidden_dim=config.predictor_hidden, K=config.K)
     optimizer = _SgdMomentum(config.lr, config.momentum)
-    state = DecorState.inactive()
+    state: DecorState | None = None
     predictor = None
     teacher: TeacherSnapshot | None = None
     teacher_bytes = 0
@@ -298,91 +254,63 @@ def run_sequence(config, tasks: list[TaskDataset], seed: int) -> RunRecord:
         if n == 0:
             raise ConfigError(f"task {task.task_id} has no train rows")
 
-        use_decor = reg == "decor" and state.active
-        use_lwf = reg == "lwf" and teacher is not None
-        if use_decor:
+        if state is not None:
             predictor = init_index_predictor(
-                predictor_cfg, config.encoder_out, seed=sub_seed(seed, "init-predictor", t)
+                config.predictor_config(),
+                config.encoder_out,
+                seed=sub_seed(seed, "init-predictor", t),
             )
             optimizer.reset("predictor")
-        storage_bits_per_task.append(storage_bits(len(state), state.K) if state.active else 0)
-        state_bytes_per_task.append(len(serialize_state(state)) if state.active else 0)
+        storage_bits_per_task.append(0 if state is None else storage_bits(len(state), state.K))
+        state_bytes_per_task.append(0 if state is None else len(serialize_state(state)))
 
         for epoch in range(config.epochs_per_task):
             shuffle_rng = np.random.default_rng(sub_seed(seed, "shuffle", t, epoch))
             for b, rows in enumerate(_batches(n, config.batch_size, shuffle_rng)):
-                aug_cfg = AugmentationConfig(
-                    noise_sigma=config.noise_sigma,
-                    mask_fraction=config.mask_fraction,
-                    seed=sub_seed(seed, "augment", t, epoch, b),
-                )
-                x, y, ids = train_x[rows], train_y[rows], train_ids[rows]
+                if contrastive and len(rows) < 2:
+                    continue  # a lone pair has no negatives
+                aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
+                x = train_x[rows]
+                if contrastive:
+                    views = augment_two_views(x, aug_cfg)
+                else:
+                    views = (augment_view(x, aug_cfg),)
+                feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
+                outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
+                if contrastive:
+                    douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
+                else:
+                    douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
 
-                if base == "supervised":
-                    xa = augment_view(x, aug_cfg)
-                    feats, e_cache = nn.forward_cached(encoder, xa)
-                    logits, c_cache = nn.forward_cached(classifier, feats)
-                    _, dlogits = supervised_ce_loss(logits, y, class_mask=seen_mask)
-                    if use_lwf:
-                        _, dkl = lwf_distill_loss(teacher, logits, xa)
-                        dlogits = dlogits + config.lwf_weight * dkl
-                    head_grads, dfeats = nn.backward(classifier, c_cache, dlogits)
-                    if use_decor and config.lam != 0.0:
-                        plogits, p_cache = nn.forward_cached(predictor, feats)
-                        _, dplogits = distill_loss(plogits, state, ids)
-                        pred_grads, dfeats_pd = nn.backward(
-                            predictor, p_cache, config.lam * dplogits
-                        )
-                        dfeats = dfeats + dfeats_pd
-                        predictor = optimizer.step("predictor", predictor, pred_grads)
-                    enc_grads, _ = nn.backward(encoder, e_cache, dfeats)
-                    encoder = optimizer.step("encoder", encoder, enc_grads)
-                    classifier = optimizer.step("classifier", classifier, head_grads)
-                else:  # simclr
-                    if len(rows) < 2:
-                        continue  # a lone pair has no negatives
-                    va, vb = augment_two_views(x, aug_cfg)
-                    fa, ea_cache = nn.forward_cached(encoder, va)
-                    fb, eb_cache = nn.forward_cached(encoder, vb)
-                    pa, pa_cache = nn.forward_cached(projector, fa)
-                    pb, pb_cache = nn.forward_cached(projector, fb)
-                    _, (dpa, dpb) = nt_xent_loss(pa, pb, config.nt_xent_temperature)
-                    if use_lwf:
-                        _, dkl = lwf_distill_loss(teacher, pa, va)
-                        dpa = dpa + config.lwf_weight * dkl
-                    pg_a, dfa = nn.backward(projector, pa_cache, dpa)
-                    pg_b, dfb = nn.backward(projector, pb_cache, dpb)
-                    proj_grads = nn.add_grads(pg_a, pg_b)
-                    if use_decor and config.lam != 0.0:
-                        plogits, p_cache = nn.forward_cached(predictor, fa)
-                        _, dplogits = distill_loss(plogits, state, ids)
-                        pred_grads, dfa_pd = nn.backward(
-                            predictor, p_cache, config.lam * dplogits
-                        )
-                        dfa = dfa + dfa_pd
-                        predictor = optimizer.step("predictor", predictor, pred_grads)
-                    eg_a, _ = nn.backward(encoder, ea_cache, dfa)
-                    eg_b, _ = nn.backward(encoder, eb_cache, dfb)
-                    encoder = optimizer.step("encoder", encoder, nn.add_grads(eg_a, eg_b))
-                    projector = optimizer.step("projector", projector, proj_grads)
+                # regularizer hooks, both on view 0: LwF on the head output,
+                # decor on the encoder output
+                if teacher is not None:
+                    _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
+                    douts[0] = douts[0] + config.lwf_weight * dkl
+                head_grads, dfeats = zip(
+                    *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
+                )
+                dfeats = list(dfeats)
+                if state is not None and config.lam != 0.0:
+                    plogits, p_cache = nn.forward_cached(predictor, feats[0])
+                    _, dplogits = distill_loss(plogits, state, train_ids[rows])
+                    pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
+                    dfeats[0] = dfeats[0] + dfeats_pd
+                    predictor = optimizer.step("predictor", predictor, pred_grads)
+
+                enc_grads = [nn.backward(encoder, c, d)[0] for c, d in zip(enc_caches, dfeats)]
+                encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
+                head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
                 events.append(("train_step", t))
 
         # task boundary: probe every seen task, snapshot/cluster for the next
-        probe_cfg = ProbeConfig(
-            mode=config.probe_mode,
-            samples_per_task=config.probe_samples_per_task,
-            epochs=config.probe_epochs,
-            lr=config.probe_lr,
-            batch_size=config.probe_batch_size,
-            seed=sub_seed(seed, "probe", t),
-        )
+        probe_cfg = config.probe_config(sub_seed(seed, "probe", t))
         for j, acc in enumerate(evaluate_probe(encoder, tasks[:t], num_classes, probe_cfg), start=1):
             matrix.set_entry(t, j, acc)
         avg_acc.append(average_accuracy(matrix, t))
         forgetting.append(max_forgetting(matrix, t))
 
         if reg == "lwf":
-            head = classifier if base == "supervised" else projector
             teacher = TeacherSnapshot.capture(encoder, head, config.lwf_temperature)
             teacher_bytes = max(teacher_bytes, teacher.num_bytes())
         if reg == "decor" and t < config.T:

@@ -25,14 +25,6 @@ class Codebook:
         if not np.isfinite(self.codes).all():
             raise NumericError("non-finite code vector")
 
-    @property
-    def K(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.codes.shape[1]
-
 
 @dataclass
 class IndexAssignment:
@@ -159,28 +151,3 @@ def kmeans_fit(
     if collect_history:
         return (*result, history)
     return result
-
-
-def assign_nearest(codebook: Codebook, feature: np.ndarray) -> int:
-    """Index of the nearest code by squared Euclidean distance (ties -> lowest)."""
-    f = np.asarray(feature, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] != codebook.feature_dim:
-        raise ShapeError(
-            f"feature shape {f.shape} does not match codebook dim {codebook.feature_dim}"
-        )
-    return int(((codebook.codes - f) ** 2).sum(axis=1).argmin())
-
-
-def kmeans_objective(
-    codebook: Codebook, features: np.ndarray, assignment: IndexAssignment
-) -> float:
-    """Sum of squared distances between each sample and its assigned code."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != codebook.feature_dim:
-        raise ShapeError("features do not match codebook dimension")
-    idx = assignment.indices
-    if idx.shape[0] != x.shape[0]:
-        raise ShapeError("assignment length does not match sample count")
-    if idx.size and (idx.min() < 0 or idx.max() >= codebook.K):
-        raise IndexError(f"assignment index outside [0, {codebook.K})")
-    return float(((x - codebook.codes[idx]) ** 2).sum())

@@ -172,13 +172,6 @@ def backward(net: Network, caches, grad_output: np.ndarray):
     return GradientSet(weight_grads, bias_grads), g
 
 
-def zero_grads(net: Network) -> GradientSet:
-    return GradientSet(
-        [np.zeros_like(l.weights) for l in net.layers],
-        [np.zeros_like(l.bias) for l in net.layers],
-    )
-
-
 def add_grads(a: GradientSet, b: GradientSet, scale: float = 1.0) -> GradientSet:
     """a + scale * b, elementwise; shapes must match."""
     if len(a.weight_grads) != len(b.weight_grads):
@@ -201,27 +194,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     return p[0] if one_d else p
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int):
-    """Cross-entropy of one logit vector against an integer class.
-
-    Returns (loss, grad) with grad = softmax(logits) - one_hot(target).
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"expected a logit vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise NumericError("non-finite logits")
-    if not 0 <= target < z.shape[0]:
-        raise IndexError(f"target {target} out of range [0, {z.shape[0]})")
-    m = z.max()
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum())
-    loss = float(lse - shifted[target])
-    grad = softmax(z)
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def mean_cross_entropy(logits: np.ndarray, targets, class_mask: np.ndarray | None = None):
@@ -333,24 +305,6 @@ def finite_difference_check(
         analytic = grad_arr[idx]
         worst = max(worst, abs(analytic - central) / max(1.0, abs(central)))
     return float(worst)
-
-
-def stack_networks(*nets: Network) -> Network:
-    """Compose networks end to end into one Network (dims must chain)."""
-    layers: list[DenseParams] = []
-    for net in nets:
-        if layers and layers[-1].out_dim != net.input_dim:
-            raise ShapeError(
-                f"cannot stack: {layers[-1].out_dim} -> {net.input_dim} dim mismatch"
-            )
-        layers.extend(
-            DenseParams(l.weights.copy(), l.bias.copy(), l.activation) for l in net.layers
-        )
-    return Network(layers)
-
-
-def parameter_count(net: Network) -> int:
-    return sum(l.weights.size + l.bias.size for l in net.layers)
 
 
 def parameter_nbytes(net: Network) -> int:

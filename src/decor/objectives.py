@@ -31,9 +31,9 @@ class AugmentationConfig:
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.mask_fraction <= 1.0:
-            raise ConfigError(f"mask_fraction must be in [0, 1], got {self.mask_fraction}")
+            raise ConfigError(f"mask_fraction: must be in [0, 1], got {self.mask_fraction}")
 
 
 def _augment_once(batch: np.ndarray, cfg: AugmentationConfig, rng: np.random.Generator) -> np.ndarray:

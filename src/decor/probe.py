@@ -31,18 +31,15 @@ class ProbeConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in PROBE_MODES:
-            raise ConfigError(f"probe mode must be one of {PROBE_MODES}, got {self.mode!r}")
-        if self.mode == "SLEP" and self.samples_per_task < 1:
-            raise ConfigError("SLEP requires samples_per_task >= 1")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("probe epochs and batch_size must be >= 1")
+            raise ConfigError(f"mode: must be LEP or SLEP, got {self.mode!r}")
+        if self.samples_per_task < 1:
+            raise ConfigError(f"samples_per_task: must be >= 1, got {self.samples_per_task}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
         if self.lr <= 0:
-            raise ConfigError(f"probe lr must be > 0, got {self.lr}")
-
-
-def extract_features(encoder: nn.Network, data: TaskDataset) -> np.ndarray:
-    """Frozen-encoder features for every row of the task, in row order."""
-    return nn.forward(encoder, data.samples)
+            raise ConfigError(f"lr: must be > 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
 
 
 def subset_sample(data: TaskDataset, n: int, seed: int) -> TaskDataset:

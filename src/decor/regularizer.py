@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, ShapeError, StateError
-from .kmeans import IndexAssignment, kmeans_fit
+from .errors import ConfigError, ShapeError
+from .kmeans import kmeans_fit
 
 STATE_MAGIC = b"DCIX"
 STATE_VERSION = 1
@@ -52,62 +52,51 @@ class PredictorConfig:
 
     def __post_init__(self) -> None:
         if self.L < 1:
-            raise ConfigError(f"L must be >= 1, got {self.L}")
+            raise ConfigError(f"L: must be >= 1, got {self.L}")
         if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+            raise ConfigError(f"hidden_dim: must be >= 1, got {self.hidden_dim}")
         if self.K < 2:
-            raise ConfigError(f"K must be >= 2, got {self.K}")
+            raise ConfigError(f"K: must be >= 2, got {self.K}")
 
 
 @dataclass
 class DecorState:
     """Per-sample quantization indices kept between task boundaries.
 
-    Inactive before the first boundary. The codebook that produced the
+    `sample_ids` is sorted ascending on construction and `indices[i]` is
+    the stored code of `sample_ids[i]`. The codebook that produced the
     indices is intentionally absent: nothing here references code vectors
     or any previous model parameters.
     """
 
-    indices: IndexAssignment | None
-    sample_ids: np.ndarray | None
+    sample_ids: np.ndarray
+    indices: np.ndarray
     K: int
-    active: bool
-    _lookup: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.active:
-            return
-        if self.indices is None or self.sample_ids is None:
-            raise StateError("active state requires indices and sample ids")
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if self.sample_ids.shape != self.indices.indices.shape:
-            raise ShapeError("sample_ids and indices differ in length")
-        if len(set(self.sample_ids.tolist())) != self.sample_ids.size:
+        ids = np.asarray(self.sample_ids, dtype=np.int64)
+        idx = np.asarray(self.indices, dtype=np.int64)
+        if ids.ndim != 1 or ids.shape != idx.shape:
+            raise ShapeError(f"sample_ids {ids.shape} and indices {idx.shape} must be equal 1-D")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.K):
+            raise ConfigError(f"stored index outside [0, {self.K})")
+        order = np.argsort(ids, kind="stable")
+        self.sample_ids, self.indices = ids[order], idx[order]
+        if np.any(self.sample_ids[1:] == self.sample_ids[:-1]):
             raise ConfigError("sample ids must be unique")
-        if self.K != self.indices.K:
-            raise ConfigError("state K does not match assignment K")
-        self._lookup = {
-            int(s): int(i) for s, i in zip(self.sample_ids, self.indices.indices)
-        }
-
-    @classmethod
-    def inactive(cls) -> "DecorState":
-        return cls(indices=None, sample_ids=None, K=0, active=False)
 
     def __len__(self) -> int:
-        return 0 if not self.active else self.sample_ids.size
+        return self.sample_ids.size
 
     def index_for(self, sample_ids) -> np.ndarray:
         """Stored pseudo-labels for a batch of sample ids (any order)."""
-        if not self.active:
-            raise StateError("state is inactive (no boundary has run yet)")
-        out = np.empty(len(sample_ids), dtype=np.int64)
-        for row, sid in enumerate(sample_ids):
-            key = int(sid)
-            if key not in self._lookup:
-                raise KeyError(f"sample id {key} has no stored index")
-            out[row] = self._lookup[key]
-        return out
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        pos = np.searchsorted(self.sample_ids, ids)
+        found = pos < self.sample_ids.size
+        found[found] = self.sample_ids[pos[found]] == ids[found]
+        if not found.all():
+            raise KeyError(f"sample id {int(ids[~found][0])} has no stored index")
+        return self.indices[pos]
 
 
 def increment(
@@ -131,7 +120,7 @@ def increment(
         sample_ids = np.arange(x.shape[0], dtype=np.int64)
     features = nn.forward(encoder, x)
     _, assignment = kmeans_fit(features, K, seed=seed)
-    return DecorState(indices=assignment, sample_ids=sample_ids, K=K, active=True)
+    return DecorState(sample_ids, assignment.indices, K)
 
 
 def init_index_predictor(cfg: PredictorConfig, in_dim: int, seed: int) -> nn.Network:
@@ -151,8 +140,6 @@ def distill_loss(predictor_logits: np.ndarray, state: DecorState, sample_ids):
     The signature admits no model parameters: the only teacher signal is
     the index table inside `state`. Returns (loss, dlogits).
     """
-    if not state.active:
-        raise StateError("distillation requires an active state")
     z = np.asarray(predictor_logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != state.K:
         raise ShapeError(f"logits shape {z.shape} does not match K={state.K}")
@@ -160,18 +147,12 @@ def distill_loss(predictor_logits: np.ndarray, state: DecorState, sample_ids):
     return nn.mean_cross_entropy(z, targets)
 
 
-def combined_loss_supervised(ce: float, pd: float, lam: float, first_task: bool) -> float:
-    """Task loss: ce on the first task, ce + lam * pd afterwards."""
+def combined_loss(base: float, pd: float, lam: float, first_task: bool) -> float:
+    """Task loss L = L_base + lam * L_pd, with L_pd gated off on the first
+    task. L_base is cross-entropy or NT-Xent, depending on the method."""
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    return float(ce) if first_task else float(ce) + lam * float(pd)
-
-
-def combined_loss_ssl(ssl: float, pd: float, lam: float, first_task: bool) -> float:
-    """Contrastive variant of the combined loss, same gating rule."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    return float(ssl) if first_task else float(ssl) + lam * float(pd)
+    return float(base) if first_task else float(base) + lam * float(pd)
 
 
 def bits_per_index(K: int) -> int:
@@ -197,13 +178,10 @@ def storage_bits(num_samples: int, K: int, packed: bool = True) -> int:
 
 
 def serialize_state(state: DecorState) -> bytes:
-    """Pack an active state into the binary record documented above."""
-    if not state.active:
-        raise StateError("cannot serialize an inactive state")
+    """Pack a state into the binary record documented above."""
     n = len(state)
     b = bits_per_index(state.K)
-    order = np.argsort(state.sample_ids, kind="stable")
-    idx = state.indices.indices[order].astype(np.uint64)
+    idx = state.indices.astype(np.uint64)
     bit_cols = (idx[:, None] >> np.arange(b, dtype=np.uint64)[None, :]) & 1
     payload = np.packbits(bit_cols.astype(np.uint8).reshape(-1), bitorder="little")
     header = struct.pack("<4sBII", STATE_MAGIC, STATE_VERSION, state.K, n)
@@ -237,6 +215,4 @@ def deserialize_state(data: bytes, sample_ids=None) -> DecorState:
         sample_ids = np.sort(np.asarray(sample_ids, dtype=np.int64))
         if sample_ids.size != n:
             raise ConfigError(f"got {sample_ids.size} sample ids for N={n}")
-    return DecorState(
-        indices=IndexAssignment(indices, K), sample_ids=sample_ids, K=K, active=True
-    )
+    return DecorState(sample_ids, indices, K)

@@ -8,7 +8,6 @@ from decor.data import (
     load_feature_file,
     save_feature_file,
     split_classes_into_tasks,
-    task_datasets_equal,
     validate_task_sequence,
 )
 from decor.errors import ConfigError, ParseError, ValidationError
@@ -62,7 +61,10 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(seed=7)
         a = generate_synthetic_tasks(cfg, T=5)
         b = generate_synthetic_tasks(cfg, T=5)
-        assert all(task_datasets_equal(x, y) for x, y in zip(a, b))
+        for x, y in zip(a, b):
+            assert x.task_id == y.task_id
+            for name in ("samples", "labels", "sample_ids", "split"):
+                assert np.array_equal(getattr(x, name), getattr(y, name))
 
     def test_shapes_and_split_fractions(self):
         cfg = SyntheticConfig(num_classes=6, samples_per_class=50, seed=1)
@@ -123,7 +125,10 @@ class TestFeatureFile:
         save_feature_file(tasks, path)
         loaded = load_feature_file(path)
         assert len(loaded) == len(tasks)
-        assert all(task_datasets_equal(a, b) for a, b in zip(tasks, loaded))
+        for a, b in zip(tasks, loaded):
+            assert a.task_id == b.task_id
+            for name in ("samples", "labels", "sample_ids", "split"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

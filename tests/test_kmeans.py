@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from decor.errors import ConfigError, NumericError, ShapeError
-from decor.kmeans import (
-    Codebook,
-    IndexAssignment,
-    _lloyd,
-    assign_nearest,
-    kmeans_fit,
-    kmeans_objective,
-)
+from decor.errors import ConfigError, NumericError
+from decor.kmeans import Codebook, IndexAssignment, _lloyd, kmeans_fit
 from oracles import brute_force_kmeans_optimum, brute_force_nearest
 
 FOUR_POINTS = np.array([[0.0], [2.0], [10.0], [12.0]])
@@ -18,20 +11,20 @@ FOUR_POINTS = np.array([[0.0], [2.0], [10.0], [12.0]])
 class TestFit:
     def test_points_equal_centroids(self):
         x = np.array([[0.0], [10.0]])
-        cb, asn = kmeans_fit(x, 2, seed=0)
+        cb, _, history = kmeans_fit(x, 2, seed=0, collect_history=True)
         assert sorted(cb.codes.ravel().tolist()) == [0.0, 10.0]
-        assert kmeans_objective(cb, x, asn) == 0.0
+        assert history[-1] == 0.0
 
     def test_two_pair_clusters(self):
         # brute force over all 2-partitions of 4 points gives {1, 11}, obj 4
-        cb, asn = kmeans_fit(FOUR_POINTS, 2, seed=0)
+        cb, _, history = kmeans_fit(FOUR_POINTS, 2, seed=0, collect_history=True)
         assert sorted(cb.codes.ravel().tolist()) == [1.0, 11.0]
-        assert kmeans_objective(cb, FOUR_POINTS, asn) == pytest.approx(4.0, abs=1e-12)
+        assert history[-1] == pytest.approx(4.0, abs=1e-12)
 
     def test_degenerate_k_equals_n(self):
         x = np.random.default_rng(0).standard_normal((5, 2))
-        cb, asn = kmeans_fit(x, 5, seed=1)
-        assert kmeans_objective(cb, x, asn) == pytest.approx(0.0, abs=1e-18)
+        _, asn, history = kmeans_fit(x, 5, seed=1, collect_history=True)
+        assert history[-1] == pytest.approx(0.0, abs=1e-18)
         assert sorted(asn.indices.tolist()) == list(range(5))
 
     def test_fewer_samples_than_k(self):
@@ -65,9 +58,10 @@ class TestFit:
         d = int(rng.integers(1, 4))
         K = int(rng.integers(2, min(n, 3) + 1))
         x = rng.uniform(-5, 5, size=(n, d))
-        cb, asn = kmeans_fit(x, K, seed=seed)
-        obj = kmeans_objective(cb, x, asn)
-        assert obj == pytest.approx(brute_force_kmeans_optimum(x, K), abs=1e-9)
+        cb, asn, history = kmeans_fit(x, K, seed=seed, collect_history=True)
+        # the reported objective is the one its own codes and indices give
+        assert history[-1] == pytest.approx(((x - cb.codes[asn.indices]) ** 2).sum(), abs=1e-12)
+        assert history[-1] == pytest.approx(brute_force_kmeans_optimum(x, K), abs=1e-9)
 
     def test_final_assignment_is_nearest(self):
         x = np.random.default_rng(7).standard_normal((64, 4))
@@ -100,47 +94,24 @@ class TestFit:
         assert asn.indices.shape == (8,)
 
 
-class TestAssignNearest:
-    def test_strictly_closer(self):
-        cb = Codebook(np.array([[0.0], [10.0]]))
-        assert assign_nearest(cb, np.array([4.0])) == 0
-
-    def test_tie_breaks_to_lowest_index(self):
-        cb = Codebook(np.array([[0.0], [10.0]]))
-        assert assign_nearest(cb, np.array([5.0])) == 0
-
-    def test_against_fitted_centroids(self):
-        cb, _ = kmeans_fit(FOUR_POINTS, 2, seed=0)
-        idx = assign_nearest(cb, np.array([11.0]))
-        assert cb.codes[idx, 0] == pytest.approx(11.0)
-
-    def test_dim_mismatch(self):
-        cb = Codebook(np.array([[0.0, 1.0]]))
-        with pytest.raises(ShapeError):
-            assign_nearest(cb, np.array([1.0, 2.0, 3.0]))
-
-
 class TestObjective:
+    """The objective Lloyd reports: history[0] is the sum of squared
+    distances to the nearest initial center."""
+
     def test_exact_centroids_zero(self):
         x = np.array([[1.0, 1.0], [3.0, 3.0]])
-        cb = Codebook(x.copy())
-        asn = IndexAssignment(np.array([0, 1]), 2)
-        assert kmeans_objective(cb, x, asn) == 0.0
+        _, _, _, history = _lloyd(x, x.copy(), max_iters=100, tol=1e-6)
+        assert set(history) == {0.0}
 
     def test_single_point_squared_distance(self):
-        cb = Codebook(np.array([[0.0, 0.0]]))
-        asn = IndexAssignment(np.array([0]), 1)
-        assert kmeans_objective(cb, np.array([[3.0, 4.0]]), asn) == pytest.approx(25.0)
+        _, _, _, history = _lloyd(np.array([[3.0, 4.0]]), np.zeros((1, 2)), 100, 1e-6)
+        assert history[0] == pytest.approx(25.0)
 
     def test_worked_example(self):
-        cb = Codebook(np.array([[1.0], [11.0]]))
-        asn = IndexAssignment(np.array([0, 0, 1, 1]), 2)
-        assert kmeans_objective(cb, FOUR_POINTS, asn) == pytest.approx(4.0, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        cb = Codebook(np.array([[0.0]]))
-        with pytest.raises(IndexError):
-            kmeans_objective(cb, np.array([[1.0]]), IndexAssignment(np.array([1]), 2))
+        _, labels, obj, history = _lloyd(FOUR_POINTS, np.array([[1.0], [11.0]]), 100, 1e-6)
+        assert history[0] == pytest.approx(4.0, abs=1e-12)
+        assert obj == pytest.approx(4.0, abs=1e-12)
+        assert labels.tolist() == [0, 0, 1, 1]
 
 
 class TestTypes:

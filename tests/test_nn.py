@@ -54,28 +54,34 @@ class TestForward:
         assert np.array_equal(out, [[0.0, 2.0]])
 
 
+def _ce_one(logits, target):
+    """Cross-entropy of one logit vector, as a 1-row batch."""
+    loss, dlogits = nn.mean_cross_entropy(np.asarray(logits)[None, :], [target])
+    return loss, dlogits[0]
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = nn.softmax_cross_entropy(np.zeros(32), 7)
+        loss, _ = _ce_one(np.zeros(32), 7)
         assert abs(loss - np.log(32)) < 1e-12
 
     def test_closed_form(self):
-        loss, _ = nn.softmax_cross_entropy(np.array([np.log(2.0), 0.0]), 0)
+        loss, _ = _ce_one(np.array([np.log(2.0), 0.0]), 0)
         assert abs(loss - np.log(1.5)) < 1e-12
 
     def test_saturated_correct_class(self):
-        loss, _ = nn.softmax_cross_entropy(np.array([50.0, 0.0]), 0)
+        loss, _ = _ce_one(np.array([50.0, 0.0]), 0)
         assert loss < 1e-9
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            nn.softmax_cross_entropy(np.zeros(4), 4)
+            _ce_one(np.zeros(4), 4)
         with pytest.raises(IndexError):
-            nn.softmax_cross_entropy(np.zeros(4), -1)
+            _ce_one(np.zeros(4), -1)
 
     def test_grad_is_softmax_minus_onehot(self):
         logits = np.array([1.0, -2.0, 0.5])
-        _, grad = nn.softmax_cross_entropy(logits, 1)
+        _, grad = _ce_one(logits, 1)
         expected = nn.softmax(logits)
         expected[1] -= 1.0
         assert np.allclose(grad, expected, atol=1e-15)
@@ -88,7 +94,7 @@ class TestSoftmaxCrossEntropy:
 
     @given(st.integers(2, 64))
     def test_uniform_ce_equals_log_k(self, k):
-        loss, _ = nn.softmax_cross_entropy(np.full(k, 3.25), 0)
+        loss, _ = _ce_one(np.full(k, 3.25), 0)
         assert abs(loss - np.log(k)) < 1e-12
 
 
@@ -98,7 +104,7 @@ class TestMeanCrossEntropy:
         logits = rng.standard_normal((7, 4))
         targets = rng.integers(0, 4, 7)
         loss, dlogits = nn.mean_cross_entropy(logits, targets)
-        singles = [nn.softmax_cross_entropy(logits[i], int(targets[i])) for i in range(7)]
+        singles = [_ce_one(logits[i], int(targets[i])) for i in range(7)]
         assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
         assert np.allclose(dlogits, np.stack([s[1] for s in singles]) / 7, atol=1e-15)
 
@@ -148,7 +154,7 @@ class TestSgdStep:
     def test_negative_lr(self):
         net = nn.init_network([2, 2], seed=0)
         with pytest.raises(ConfigError):
-            nn.sgd_step(net, nn.zero_grads(net), -0.1)
+            nn.sgd_step(net, nn.GradientSet([np.zeros((2, 2))], [np.zeros(2)]), -0.1)
 
     def test_shape_mismatch(self):
         net = nn.init_network([2, 2], seed=0)
@@ -240,15 +246,16 @@ class TestHelpers:
         a = nn.init_network([4, 6], seed=1)
         b = nn.init_network([6, 2], seed=2)
         x = rng.standard_normal((5, 4))
-        stacked = nn.stack_networks(a, b)
+        stacked = nn.Network(a.layers + b.layers)
         assert np.array_equal(nn.forward(stacked, x), nn.forward(b, nn.forward(a, x)))
 
     def test_stack_dim_mismatch(self):
+        a, b = nn.init_network([4, 6], seed=1), nn.init_network([5, 2], seed=2)
         with pytest.raises(ShapeError):
-            nn.stack_networks(nn.init_network([4, 6], seed=1), nn.init_network([5, 2], seed=2))
+            nn.Network(a.layers + b.layers)
 
     def test_add_grads_scaling(self):
-        net = nn.init_network([2, 2], seed=0)
+        zero = nn.GradientSet([np.zeros((2, 2))], [np.zeros(2)])
         g = nn.GradientSet([np.ones((2, 2))], [np.ones(2)])
-        combined = nn.add_grads(nn.zero_grads(net), g, scale=0.25)
+        combined = nn.add_grads(zero, g, scale=0.25)
         assert np.array_equal(combined.weight_grads[0], np.full((2, 2), 0.25))

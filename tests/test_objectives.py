@@ -181,7 +181,8 @@ class TestLwf:
         encoder = nn.init_network([64, 128, 64], seed=0)
         head = nn.init_network([64, 10], seed=1)
         teacher = TeacherSnapshot.capture(encoder, head, 2.0)
-        expected = (nn.parameter_count(encoder) + nn.parameter_count(head)) * 8
+        parameters = (64 * 128 + 128) + (128 * 64 + 64) + (64 * 10 + 10)
+        expected = parameters * 8
         assert teacher.num_bytes() == expected
 
     def test_gradient_matches_numeric(self):

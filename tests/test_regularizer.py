@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decor import nn
-from decor.errors import ConfigError, ShapeError, StateError
-from decor.kmeans import IndexAssignment
+from decor.errors import ConfigError, ShapeError
 from decor.regularizer import (
     HEADER_BYTES,
     DecorState,
     PredictorConfig,
-    combined_loss_ssl,
-    combined_loss_supervised,
+    combined_loss,
     deserialize_state,
     distill_loss,
     increment,
@@ -23,7 +21,7 @@ from decor.regularizer import (
 def _state(indices, K, ids=None):
     idx = np.asarray(indices)
     ids = np.arange(len(idx)) if ids is None else np.asarray(ids)
-    return DecorState(indices=IndexAssignment(idx, K), sample_ids=ids, K=K, active=True)
+    return DecorState(ids, idx, K)
 
 
 class TestIncrement:
@@ -126,10 +124,6 @@ class TestDistillLoss:
         expected = (np.log(1.5) + np.log(32)) / 2
         assert abs(loss - expected) < 1e-9
 
-    def test_inactive_state_rejected(self):
-        with pytest.raises(StateError):
-            distill_loss(np.zeros((1, 4)), DecorState.inactive(), [0])
-
     def test_missing_sample_id(self):
         state = _state([0, 1], K=4, ids=[10, 11])
         with pytest.raises(KeyError):
@@ -144,6 +138,27 @@ class TestDistillLoss:
         state = _state([5, 6, 7], K=8, ids=[100, 200, 300])
         assert np.array_equal(state.index_for([300, 100]), [7, 5])
 
+    def test_unsorted_ids_stay_aligned(self):
+        state = _state([7, 5, 6], K=8, ids=[300, 100, 200])
+        assert np.array_equal(state.sample_ids, [100, 200, 300])
+        assert np.array_equal(state.index_for([100, 200, 300]), [5, 6, 7])
+
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=50, unique=True), st.randoms())
+    def test_lookup_matches_a_dict(self, ids, rnd):
+        indices = [rnd.randrange(5) for _ in ids]
+        table = dict(zip(ids, indices))
+        query = rnd.sample(ids, len(ids))
+        state = _state(indices, K=5, ids=ids)
+        assert state.index_for(query).tolist() == [table[i] for i in query]
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ConfigError):
+            _state([0, 1], K=2, ids=[4, 4])
+
+    def test_missing_id_in_empty_state(self):
+        with pytest.raises(KeyError):
+            _state([], K=2).index_for([0])
+
     def test_gradient_through_encoder_and_predictor(self):
         # finite differences through the composed encoder+predictor stack
         rng = np.random.default_rng(0)
@@ -151,7 +166,7 @@ class TestDistillLoss:
         encoder = nn.init_network([4, 6, 3], seed=1)
         predictor = init_index_predictor(PredictorConfig(L=2, hidden_dim=5, K=4), 3, seed=2)
         state = _state(rng.integers(0, 4, 6), K=4)
-        stacked = nn.stack_networks(encoder, predictor)
+        stacked = nn.Network(encoder.layers + predictor.layers)
 
         def loss_fn(net, batch):
             logits, caches = nn.forward_cached(net, batch)
@@ -164,26 +179,26 @@ class TestDistillLoss:
 
 class TestCombinedLosses:
     def test_lambda_zero(self):
-        assert combined_loss_supervised(1.7, 9.9, 0.0, first_task=False) == 1.7
-        assert combined_loss_ssl(0.4, 9.9, 0.0, first_task=False) == 0.4
+        assert combined_loss(1.7, 9.9, 0.0, first_task=False) == 1.7
+        assert combined_loss(0.4, 9.9, 0.0, first_task=False) == 0.4
 
     def test_arithmetic(self):
-        assert combined_loss_supervised(1.0, 0.5, 0.2, first_task=False) == pytest.approx(1.1)
-        assert combined_loss_ssl(0.55, 3.47, 0.2, first_task=False) == pytest.approx(1.244)
+        assert combined_loss(1.0, 0.5, 0.2, first_task=False) == pytest.approx(1.1)
+        assert combined_loss(0.55, 3.47, 0.2, first_task=False) == pytest.approx(1.244)
 
     def test_first_task_gates_regularizer(self):
-        assert combined_loss_supervised(2.0, 123.0, 0.2, first_task=True) == 2.0
-        assert combined_loss_ssl(0.3, 123.0, 0.2, first_task=True) == 0.3
+        assert combined_loss(2.0, 123.0, 0.2, first_task=True) == 2.0
+        assert combined_loss(0.3, 123.0, 0.2, first_task=True) == 0.3
 
     def test_negative_lambda(self):
         with pytest.raises(ConfigError):
-            combined_loss_supervised(1.0, 1.0, -0.1, first_task=False)
+            combined_loss(1.0, 1.0, -0.1, first_task=False)
 
     @given(
         st.floats(0, 10), st.floats(0, 10), st.floats(0, 5), st.booleans()
     )
     def test_gating_rule(self, ce, pd, lam, first):
-        value = combined_loss_supervised(ce, pd, lam, first)
+        value = combined_loss(ce, pd, lam, first)
         assert value == (ce if first else ce + lam * pd)
 
 
@@ -231,11 +246,12 @@ class TestSerialization:
         idx = rng.integers(0, k, n)
         state = _state(idx, K=k)
         back = deserialize_state(serialize_state(state))
-        assert np.array_equal(back.indices.indices, idx)
+        assert np.array_equal(back.indices, idx)
 
-    def test_inactive_state_not_serializable(self):
-        with pytest.raises(StateError):
-            serialize_state(DecorState.inactive())
+    def test_payload_in_ascending_id_order(self):
+        shuffled = _state([7, 5, 6], K=8, ids=[300, 100, 200])
+        ordered = _state([5, 6, 7], K=8, ids=[100, 200, 300])
+        assert serialize_state(shuffled) == serialize_state(ordered)
 
     def test_bad_magic(self):
         state = _state([0, 1], K=2)
