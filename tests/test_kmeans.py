@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,92 @@ class TestTypes:
     def test_codebook_requires_finite(self):
         with pytest.raises(NumericError):
             Codebook(np.array([[np.nan]]))
+
+
+def _blobs(rng, n, d, k, spread=0.3):
+    centers = rng.uniform(-10, 10, size=(k, d))
+    return centers[rng.integers(k, size=n)] + spread * rng.standard_normal((n, d))
+
+
+def _duplicated(rng, n_distinct, copies, d):
+    x = np.repeat(rng.standard_normal((n_distinct, d)), copies, axis=0)
+    return x[rng.permutation(x.shape[0])]
+
+
+# name -> (data from an rng, K, kmeans_fit keyword arguments)
+PINNED_CASES = {
+    "gauss-60x2-k3": (lambda r: r.standard_normal((60, 2)), 3, {}),
+    "gauss-200x8-k8": (lambda r: r.standard_normal((200, 8)), 8, {}),
+    "gauss-400x16-k16": (lambda r: r.standard_normal((400, 16)), 16, {}),
+    "gauss-300x64-k32": (lambda r: r.standard_normal((300, 64)), 32, {}),
+    "blobs-500x4-k5": (lambda r: _blobs(r, 500, 4, 5), 5, {}),
+    "blobs-240x64-k24": (lambda r: _blobs(r, 240, 64, 12, spread=1.5) + 2.0, 24, {}),
+    "relu-300x32-k16": (lambda r: np.maximum(r.standard_normal((300, 32)), 0.0), 16, {}),
+    "uniform-1000x2-k20": (lambda r: r.uniform(size=(1000, 2)), 20, {}),
+    "grid-100x2-k7": (lambda r: r.integers(0, 4, size=(100, 2)).astype(float), 7, {}),
+    "line-80x1-k6": (lambda r: r.standard_normal((80, 1)), 6, {}),
+    "cauchy-150x4-k6": (lambda r: r.standard_cauchy((150, 4)), 6, {}),
+    "offset-200x8-k8": (lambda r: 1e3 + r.standard_normal((200, 8)), 8, {}),
+    "tiny-100x4-k5": (lambda r: 1e-8 * r.standard_normal((100, 4)), 5, {}),
+    "scales-200x6-k9": (lambda r: r.standard_normal((200, 6)) * np.logspace(-3, 3, 6), 9, {}),
+    "duplicated-120x3-k10": (lambda r: _duplicated(r, 30, 4, 3), 10, {}),
+    "duplicated-fewer-than-k": (lambda r: _duplicated(r, 3, 5, 2), 6, {}),
+    "two-values-8x2-k3": (lambda r: np.array([[0.0, 0.0]] * 6 + [[5.0, 5.0]] * 2), 3, {}),
+    "k-equals-n-12x3": (lambda r: r.standard_normal((12, 3)), 12, {}),
+    "k-equals-n-duplicates": (lambda r: np.array([[1.0], [1.0], [2.0], [3.0]]), 4, {}),
+    "n-is-k-plus-1": (lambda r: r.standard_normal((9, 5)), 8, {}),
+    "k1-50x5": (lambda r: r.standard_normal((50, 5)), 1, {}),
+    "all-equal-20x3-k4": (lambda r: np.full((20, 3), 1.5), 4, {}),
+    "all-zero-10x2-k2": (lambda r: np.zeros((10, 2)), 2, {}),
+    "capped-iters-300x8-k12": (
+        lambda r: r.standard_normal((300, 8)),
+        12,
+        {"max_iters": 2, "n_restarts": 3},
+    ),
+    "loose-tol-300x8-k12": (lambda r: r.standard_normal((300, 8)), 12, {"tol": 1e-2}),
+}
+
+# sha256 over the labels, the codes and the objective history, as recorded
+# from the per-pair distance kernel before the assignment step was rewritten
+PINNED_SHA256 = {
+    "all-equal-20x3-k4": "f77a315957ee3ada3e02f6b1c2a1b75e3ba066f30ece9ba40782a4fe73fff578",
+    "all-zero-10x2-k2": "b707241545a346265aab1ffb32ff64b55bf8f8dc1b56a46ef33ce3d15db11d33",
+    "blobs-240x64-k24": "b6100339bf1a4213cf829c8069e1a8fbafa93f2e7c83dd46482b2b58beeab7a8",
+    "blobs-500x4-k5": "b039a1af97fc62c5443092d0d881331b80fce0844eda0a6b7163bd99de83fa19",
+    "capped-iters-300x8-k12": "707462e74f1ed894ade774d4daebc3d3d0d254a94a2b79be9fc8329412b4c407",
+    "cauchy-150x4-k6": "799d4a506a750e00e88fbcf10ff56139a4930a22765a058e44ddf05caf60f01c",
+    "duplicated-120x3-k10": "5610b0f5b8d3a8f493c0a8fb1d326971923ab325bdf95c7fc4184f27ab3ab72c",
+    "duplicated-fewer-than-k": "67fa0de2e17b5fd70bf2450c107702591f0a3300ede4f47e9d24ecf2abdb3da5",
+    "gauss-200x8-k8": "0ea4369bd1c51bed57dc4d1766d9df2c104240fad452e40b75758ebd18a00a5b",
+    "gauss-300x64-k32": "796a75c9126c8ee5895b12287fab0f06adcdc6f5613db71c6fafb28d2762c00a",
+    "gauss-400x16-k16": "1d58c7fd6abdf87daf98c03724f33c3422126d1d6ce60694d908babd5a695d7a",
+    "gauss-60x2-k3": "9fac9205aa23c08f9e79047addf9a03ae71340339851eead8207873ce5b9d493",
+    "grid-100x2-k7": "f0de6780ee383a8f2c60eed4ef7810c99e8b2b005aeee05a93312cd1462954e8",
+    "k-equals-n-12x3": "76871c3b2f5c2a0bfdc8feb4d3c80147d972232256689fd5b70c489f965358c0",
+    "k-equals-n-duplicates": "ff07a38e20d01db2e08ce1ad7c4c293d1b1b5880ef33b31c371b2fa304ee3f88",
+    "k1-50x5": "5f2767f84fb596caf413fc9e4b74e1e124b4cdb5f413fd0c6a3ee2c7c3a7ed89",
+    "line-80x1-k6": "9704060f76c89232f7576c7033e30b3a430299d4c8b4f086f32b45d4a7889f5a",
+    "loose-tol-300x8-k12": "b372ae651d6efddf6ac067a8c7ffc130a8220186e82b5a50f715f8188e9f2853",
+    "n-is-k-plus-1": "31e2974c5afe8c30653a012321aed2bb0d29360f3f93f351860bba16b06c124b",
+    "offset-200x8-k8": "55468ddf6d023fc32788c9699f3081a2b3bcfebad0d70e40849ff2b88670cf70",
+    "relu-300x32-k16": "9f7e369d6511cc2942ed32a0787e95dec7c911fc8a49798c70030b46b49ac87d",
+    "scales-200x6-k9": "3887f5abd557102ec9266d5773b0be98486308a03c55949a7951ca6614f10839",
+    "tiny-100x4-k5": "058ef00c5e206261bc02cecda3fd9b16b4da14d70a15dcda68bbaf2a8251c52e",
+    "two-values-8x2-k3": "cef5d816cb94753167aa8a1e0caefc145022baf94aac82e1b2f34af6880ab643",
+    "uniform-1000x2-k20": "227e70d3f217d5c636f970a834fb1794764a2b2357a5ceece5d1162eb491ede3",
+}
+
+
+def _fit_digest(name: str) -> str:
+    make, K, kwargs = PINNED_CASES[name]
+    x = make(np.random.default_rng(sorted(PINNED_CASES).index(name)))
+    cb, asn, history = kmeans_fit(x, K, seed=5, collect_history=True, **kwargs)
+    h = hashlib.sha256()
+    for part in (asn.indices, cb.codes, np.array(history)):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pinned_fit_outputs(name):
+    assert _fit_digest(name) == PINNED_SHA256[name]
