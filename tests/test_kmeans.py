@@ -116,6 +116,39 @@ class TestObjective:
         assert labels.tolist() == [0, 0, 1, 1]
 
 
+class TestNearTies:
+    """Rows the GEMM scores cannot call are recomputed with the kernel."""
+
+    # At 1e8 the GEMM form ||x||^2 - 2x.c + ||c||^2 cancels terms of 1e16
+    # down to distances of a few units, so its argmin is wrong on many rows.
+    # Every coordinate and difference below is exact in float64, so the
+    # kernel's distances are exact, and many rows are exactly equidistant
+    # from two or more codes.
+    CODES = 1e8 + np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+
+    def _points(self):
+        rng = np.random.default_rng(0)
+        near = 1e8 + rng.integers(-2, 5, size=(400, 2)) * 0.5
+        far = 1e8 + np.array([[1e3, 0.0], [-1e3, 5.0], [3.0, 2e3]])  # clear winners
+        return np.vstack([near, far])
+
+    def test_offset_points_get_the_exact_nearest_code(self):
+        x = self._points()
+        expected = brute_force_nearest(self.CODES, x)
+        plain = (x @ (-2.0 * self.CODES.T) + (self.CODES**2).sum(axis=1)).argmin(axis=1)
+        assert not np.array_equal(plain, expected)
+        d2 = ((x[:, None, :] - self.CODES[None]) ** 2).sum(axis=2)
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        # no Lloyd iteration: only the assignment to the given centers
+        _, labels, _, _ = _lloyd(x, self.CODES, max_iters=0, tol=1e-6)
+        assert np.array_equal(labels, expected)
+
+    def test_fit_on_offset_points_assigns_the_nearest_code(self):
+        x = self._points()
+        cb, asn = kmeans_fit(x, 5, seed=0)
+        assert np.array_equal(asn.indices, brute_force_nearest(cb.codes, x))
+
+
 class TestTypes:
     def test_assignment_range_validated(self):
         with pytest.raises(IndexError):
