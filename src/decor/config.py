@@ -122,7 +122,18 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"data.num_classes: {self.num_classes} not divisible by T={self.T}"
                 )
-            self.synthetic_config(0)
+            synthetic = self.synthetic_config(0)
+            if self.T > 1:
+                per_task = self.num_classes // self.T * synthetic.train_per_class
+                self._check_codes_fit(per_task, "each task of the synthetic data")
+
+    def _check_codes_fit(self, train_rows: int, where: str) -> None:
+        """decor clusters the train rows of tasks 2..T into K codes."""
+        if METHODS[self.method][1] == "decor" and self.K > train_rows:
+            raise ConfigError(
+                f"K: {self.K} codes need at least {self.K} train samples per task, "
+                f"but {where} has {train_rows}"
+            )
 
     def predictor_config(self) -> PredictorConfig:
         return self._build(PredictorConfig, L="L", hidden_dim="predictor_hidden", K="K")
@@ -172,6 +183,9 @@ class ExperimentConfig:
         tasks = load_feature_file(self.data_path)
         if len(tasks) != self.T:
             raise ConfigError(f"T: config says {self.T} but {self.data_path} has {len(tasks)} tasks")
+        for task in tasks[1:]:
+            train_rows = int((task.split == "train").sum())
+            self._check_codes_fit(train_rows, f"task {task.task_id} of {self.data_path}")
         return tasks
 
     def to_dict(self) -> dict:

@@ -128,6 +128,10 @@ class SyntheticConfig:
         if self.drift_sigma < 0:
             raise ConfigError(f"drift_sigma: must be >= 0, got {self.drift_sigma}")
 
+    @property
+    def train_per_class(self) -> int:
+        return self.samples_per_class * TRAIN_FRACTION[0] // TRAIN_FRACTION[1]
+
 
 def split_classes_into_tasks(num_classes: int, T: int, seed: int) -> list[list[int]]:
     """Random permutation of class ids chunked into T equal disjoint sets."""
@@ -168,7 +172,7 @@ def generate_synthetic_tasks(cfg: SyntheticConfig, T: int) -> list[TaskDataset]:
                 + cfg.within_class_sigma * noise_rng.standard_normal((cfg.samples_per_class, cfg.feature_dim))
             )
             n = cfg.samples_per_class
-            n_train = n * TRAIN_FRACTION[0] // TRAIN_FRACTION[1]
+            n_train = cfg.train_per_class
             order = rng_for(cfg.seed, "split", t, c).permutation(n)
             tag = np.empty(n, dtype="<U5")
             tag[order[:n_train]] = "train"
@@ -248,17 +252,21 @@ def load_feature_file(path) -> list[TaskDataset]:
             raise ValidationError(
                 f"{path}: line {lineno}: label {label} outside [0, {num_classes})"
             )
-        rows.setdefault(task_id, []).append((sample_id, split, label, feats))
+        rows.setdefault(task_id, []).append((sample_id, split, label, feats, lineno))
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
     tasks = []
     for task_id in sorted(rows):
         recs = rows[task_id]
+        samples = np.array([r[3] for r in recs], dtype=np.float64)
+        if not np.isfinite(samples).all():
+            bad = min(recs[i][4] for i in np.flatnonzero(~np.isfinite(samples).all(axis=1)))
+            raise ValidationError(f"{path}: line {bad}: non-finite feature value")
         tasks.append(
             TaskDataset(
                 task_id=task_id,
-                samples=np.array([r[3] for r in recs], dtype=np.float64),
+                samples=samples,
                 labels=np.array([r[2] for r in recs], dtype=np.int64),
                 sample_ids=np.array([r[0] for r in recs], dtype=np.int64),
                 split=np.array([r[1] for r in recs], dtype="<U5"),

@@ -4,6 +4,8 @@ import pytest
 import yaml
 
 from decor import cli
+from decor.harness import AccuracyMatrix
+from decor.regularizer import DecorState
 
 TINY = {
     "T": 2,
@@ -77,3 +79,25 @@ def test_report_without_records_exits_1(tmp_path, content):
     if content is not None:
         runs.write_text(content, encoding="utf-8")
     assert cli.main(["report", "--results", str(runs)]) == 1
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda: DecorState([1, 2], [0, 1], 2).index_for([7]), "sample id 7 has no stored index"),
+        (lambda: AccuracyMatrix(3).entry(4, 1), "need 1 <= j <= t <= 3, got t=4, j=1"),
+    ],
+)
+def test_lookup_errors_exit_1_with_the_message(tmp_path, monkeypatch, capsys, fault, message):
+    monkeypatch.setattr(cli, "run_sequence", lambda *args: fault())
+    assert cli.main(["run", "--config", _write_config(tmp_path, TINY)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
+    record = _record("decor", [0, 213, 213], 0)
+    del record["teacher_bytes"]
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--results", str(runs)]) == 1
+    assert capsys.readouterr().err == "error: teacher_bytes\n"

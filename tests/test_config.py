@@ -1,6 +1,7 @@
 import pytest
 
 from decor.config import ExperimentConfig, config_from_dict, load_config
+from decor.data import SyntheticConfig, generate_synthetic_tasks, save_feature_file
 from decor.errors import ConfigError
 
 # (YAML body, the key the error message must start with)
@@ -41,6 +42,10 @@ BAD = [
     ({"data": {"class_separation": 0}}, "data.class_separation"),
     ({"data": {"within_class_sigma": -1}}, "data.within_class_sigma"),
     ({"data": {"drift_sigma": -1}}, "data.drift_sigma"),
+    # decor clusters each later task's 2 classes x 160 train rows into K codes
+    ({"method": "decor", "K": 500}, "K"),
+    ({"method": "simclr+decor", "K": 321}, "K"),
+    ({"method": "decor", "K": 64, "data": {"samples_per_class": 20}}, "K"),
 ]
 
 
@@ -88,3 +93,26 @@ def test_load_config_errors(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")
     assert load_config(empty) == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"method": "decor", "K": 320},
+        {"method": "finetune", "K": 500},
+        {"method": "decor", "T": 1, "K": 500, "data": {"num_classes": 2}},
+    ],
+)
+def test_k_up_to_the_clustered_rows_loads(body):
+    assert config_from_dict(body).K == body["K"]
+
+
+def test_k_above_a_file_task_names_the_task(tmp_path):
+    tasks = generate_synthetic_tasks(SyntheticConfig(num_classes=4, samples_per_class=10), T=2)
+    path = tmp_path / "feats.csv"
+    save_feature_file(tasks, path)
+    body = {"method": "decor", "T": 2, "K": 17, "data": {"source": "file", "path": str(path)}}
+    config = config_from_dict(body)
+    with pytest.raises(ConfigError, match=r"^K: .*task 2 of .*feats.csv has 16$"):
+        config.tasks_for_seed(0)
+    assert len(config_from_dict({**body, "K": 16}).tasks_for_seed(0)) == 2

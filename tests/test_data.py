@@ -178,6 +178,19 @@ class TestFeatureFile:
         with pytest.raises(ParseError, match="line 2"):
             load_feature_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "nf.csv"
+        path.write_text(
+            "#decor-features v1 num_classes=4 feature_dim=2\n"
+            "1,0,train,0,1.0,2.0\n"
+            "2,1,train,2,1.0,2.0\n"
+            f"1,2,train,1,3.0,{value}\n"
+            f"2,3,train,3,{value},4.0\n"
+        )
+        with pytest.raises(ValidationError, match=r"line 4: non-finite"):
+            load_feature_file(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
