@@ -252,7 +252,7 @@ def load_feature_file(path) -> list[TaskDataset]:
             raise ValidationError(
                 f"{path}: line {lineno}: label {label} outside [0, {num_classes})"
             )
-        rows.setdefault(task_id, []).append((sample_id, split, label, feats, lineno))
+        rows.setdefault(task_id, []).append((sample_id, split, label, feats))
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -261,7 +261,12 @@ def load_feature_file(path) -> list[TaskDataset]:
         recs = rows[task_id]
         samples = np.array([r[3] for r in recs], dtype=np.float64)
         if not np.isfinite(samples).all():
-            bad = min(recs[i][4] for i in np.flatnonzero(~np.isfinite(samples).all(axis=1)))
+            # rare, so the line is looked for only now
+            bad = next(
+                lineno
+                for lineno, line in enumerate(lines[1:], start=2)
+                if line.strip() and not np.isfinite([float(v) for v in line.split(",")[4:]]).all()
+            )
             raise ValidationError(f"{path}: line {bad}: non-finite feature value")
         tasks.append(
             TaskDataset(

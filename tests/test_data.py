@@ -185,9 +185,10 @@ class TestFeatureFile:
             "#decor-features v1 num_classes=4 feature_dim=2\n"
             "1,0,train,0,1.0,2.0\n"
             "2,1,train,2,1.0,2.0\n"
-            f"1,2,train,1,3.0,{value}\n"
-            f"2,3,train,3,{value},4.0\n"
+            f"2,2,train,3,{value},4.0\n"
+            f"1,3,train,1,3.0,{value}\n"
         )
+        # the first such line in the file, though task 1 is built first
         with pytest.raises(ValidationError, match=r"line 4: non-finite"):
             load_feature_file(path)
 
