@@ -202,8 +202,9 @@ PINNED_CASES = {
     "loose-tol-300x8-k12": (lambda r: r.standard_normal((300, 8)), 12, {"tol": 1e-2}),
 }
 
-# sha256 over the labels, the codes and the objective history, as recorded
-# from the per-pair distance kernel before the assignment step was rewritten
+# sha256 over the labels, the codes and the objective history, recorded
+# with `_sq_dists` assigning every row: a fit whose float operations differ
+# from that reference path anywhere shows up here
 PINNED_SHA256 = {
     "all-equal-20x3-k4": "f77a315957ee3ada3e02f6b1c2a1b75e3ba066f30ece9ba40782a4fe73fff578",
     "all-zero-10x2-k2": "b707241545a346265aab1ffb32ff64b55bf8f8dc1b56a46ef33ce3d15db11d33",
