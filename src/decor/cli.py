@@ -164,10 +164,17 @@ def cmd_report(args) -> int:
         return 1
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(RunRecord.from_json_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                reason = f"invalid JSON at column {exc.colno}: {exc.msg}"
+                raise ValueError(f"{path}: line {number}: {reason}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from exc
     if not records:
         print(f"error: no records in {path}", file=sys.stderr)
         return 1

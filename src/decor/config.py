@@ -63,8 +63,6 @@ class ExperimentConfig:
     lwf_temperature: float = 2.0
     lwf_weight: float = 1.0
 
-    probe_mode: str = "LEP"
-    probe_samples_per_task: int = 200
     probe_epochs: int = 50
     probe_lr: float = 0.2
     probe_batch_size: int = 64
@@ -103,6 +101,10 @@ class ExperimentConfig:
             raise ConfigError(f"encoder.out_dim: must be >= 1, got {self.encoder_out}")
         if any(h < 1 for h in self.encoder_hidden):
             raise ConfigError("encoder.hidden_dims: entries must be >= 1")
+        if self.projector_hidden < 1:
+            raise ConfigError(f"projector.hidden_dim: must be >= 1, got {self.projector_hidden}")
+        if self.projector_out < 1:
+            raise ConfigError(f"projector.out_dim: must be >= 1, got {self.projector_out}")
         if self.nt_xent_temperature <= 0:
             raise ConfigError("nt_xent_temperature: must be > 0")
         if self.lwf_temperature <= 0:
@@ -145,13 +147,7 @@ class ExperimentConfig:
 
     def probe_config(self, seed: int) -> ProbeConfig:
         return self._build(
-            ProbeConfig,
-            seed=seed,
-            mode="probe_mode",
-            samples_per_task="probe_samples_per_task",
-            epochs="probe_epochs",
-            lr="probe_lr",
-            batch_size="probe_batch_size",
+            ProbeConfig, seed=seed, epochs="probe_epochs", lr="probe_lr", batch_size="probe_batch_size"
         )
 
     def synthetic_config(self, seed: int) -> SyntheticConfig:
@@ -219,13 +215,7 @@ SCHEMA = {
     "projector": {"hidden_dim": "projector_hidden", "out_dim": "projector_out"},
     "augment": {"noise_sigma": "noise_sigma", "mask_fraction": "mask_fraction"},
     "lwf": {"temperature": "lwf_temperature", "weight": "lwf_weight"},
-    "probe": {
-        "mode": "probe_mode",
-        "samples_per_task": "probe_samples_per_task",
-        "epochs": "probe_epochs",
-        "lr": "probe_lr",
-        "batch_size": "probe_batch_size",
-    },
+    "probe": {"epochs": "probe_epochs", "lr": "probe_lr", "batch_size": "probe_batch_size"},
     "data": {
         "source": "data_source",
         "path": "data_path",

@@ -72,19 +72,6 @@ class TaskDataset:
     def test_view(self):
         return self._view(self.split == "test")
 
-    def subset(self, row_indices) -> "TaskDataset":
-        idx = np.asarray(row_indices, dtype=np.int64)
-        return TaskDataset(
-            self.task_id,
-            self.samples[idx],
-            self.labels[idx],
-            self.sample_ids[idx],
-            self.split[idx],
-        )
-
-    def train_only(self) -> "TaskDataset":
-        return self.subset(np.flatnonzero(self.split == "train"))
-
 
 def validate_task_sequence(tasks: list[TaskDataset]) -> None:
     """Class sets pairwise disjoint, sample ids unique across the sequence."""

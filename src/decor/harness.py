@@ -131,7 +131,6 @@ class RunRecord:
     lam: float
     seed: int
     config_hash: str
-    probe_mode: str
     accuracy: list[list[float]]
     avg_accuracy: list[float]
     forgetting: list[float]
@@ -146,8 +145,23 @@ class RunRecord:
         return {_JSON_KEYS.get(name, name): getattr(self, name) for name in _JSON_FIELDS}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "RunRecord":
-        return cls(**{name: d[_JSON_KEYS.get(name, name)] for name in _JSON_FIELDS})
+    def from_json_dict(cls, d) -> "RunRecord":
+        """Inverse of `to_json_dict`; extra keys are ignored, and a record
+        that does not fit raises ValueError saying what is wrong."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        keys = {name: _JSON_KEYS.get(name, name) for name in _JSON_FIELDS}
+        missing = [key for key in keys.values() if key not in d]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        record = cls(**{name: d[key] for name, key in keys.items()})
+        if type(record.T) is not int or record.T < 1:
+            raise ValueError(f"T: expected an integer >= 1, got {record.T!r}")
+        for name in _PER_TASK_FIELDS:
+            value = getattr(record, name)
+            if not isinstance(value, list) or len(value) != record.T:
+                raise ValueError(f"{name}: expected a list of T={record.T} entries, got {value!r}")
+        return record
 
     def assert_event_order(self) -> None:
         """The state used by task t must exist before task t trains at all."""
@@ -167,6 +181,8 @@ class RunRecord:
 # own name or the key given here
 _JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "events"]
 _JSON_KEYS = {"lam": "lambda"}
+# the fields declared as list[...] hold one entry per task
+_PER_TASK_FIELDS = [f.name for f in fields(RunRecord) if f.type.startswith("list[")]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -329,7 +345,6 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
         lam=config.lam,
         seed=seed,
         config_hash=config.config_hash(),
-        probe_mode=config.probe_mode,
         accuracy=matrix.rows(),
         avg_accuracy=avg_acc,
         forgetting=forgetting,

@@ -3,8 +3,8 @@
 Everything runs in float64 with no global random state. Networks are plain
 dataclasses and `sgd_step` returns a new Network instead of mutating, which
 keeps training loops replayable and makes bitwise-equality checks between
-runs meaningful. Gradients are verified against central finite differences
-via `finite_difference_check`.
+runs meaningful. The tests verify gradients against central finite
+differences (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -182,20 +182,6 @@ def add_grads(a: GradientSet, b: GradientSet, scale: float = 1.0) -> GradientSet
     )
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stable softmax (max subtraction); accepts 1-D or 2-D input."""
-    z = np.asarray(logits, dtype=np.float64)
-    one_d = z.ndim == 1
-    if one_d:
-        z = z[None, :]
-    if z.ndim != 2:
-        raise ShapeError(f"logits must be 1-D or 2-D, got shape {z.shape}")
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if one_d else p
-
-
 def mean_cross_entropy(logits: np.ndarray, targets, class_mask: np.ndarray | None = None):
     """Mean cross-entropy over a batch of logit rows.
 
@@ -224,11 +210,11 @@ def mean_cross_entropy(logits: np.ndarray, targets, class_mask: np.ndarray | Non
         if not mask[y].all():
             raise IndexError("target labels a masked class")
         z = np.where(mask[None, :], z, z + MASKED_LOGIT)
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(lse - shifted[np.arange(n), y]))
-    p = softmax(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), y]))
+    p = e / total
     p[np.arange(n), y] -= 1.0
     return loss, p / n
 
@@ -247,64 +233,6 @@ def sgd_step(net: Network, grads: GradientSet, lr: float) -> Network:
             DenseParams(layer.weights - lr * dw, layer.bias - lr * db, layer.activation)
         )
     return Network(layers)
-
-
-def _param_coords(net: Network):
-    coords = []
-    for li, layer in enumerate(net.layers):
-        for idx in np.ndindex(layer.weights.shape):
-            coords.append((li, "w", idx))
-        for idx in np.ndindex(layer.bias.shape):
-            coords.append((li, "b", idx))
-    return coords
-
-
-def finite_difference_check(
-    net: Network,
-    loss_fn,
-    batch: np.ndarray,
-    epsilon: float = 1e-5,
-    max_params: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn(net, batch)` must return (loss, GradientSet). Returns the max
-    over sampled parameters of |analytic - central| / max(1, |central|).
-    """
-    if not 0 < epsilon <= 1e-2:
-        raise ConfigError(f"epsilon must be in (0, 1e-2], got {epsilon}")
-    base_loss, grads = loss_fn(net, batch)
-    if not np.isfinite(base_loss):
-        raise NumericError(f"loss is not finite: {base_loss}")
-    coords = _param_coords(net)
-    if max_params is not None and len(coords) > max_params:
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=max_params, replace=False)
-        coords = [coords[i] for i in picked]
-
-    work = net.copy()
-
-    def _array(li: int, name: str) -> np.ndarray:
-        layer = work.layers[li]
-        return layer.weights if name == "w" else layer.bias
-
-    worst = 0.0
-    for li, name, idx in coords:
-        arr = _array(li, name)
-        orig = arr[idx]
-        arr[idx] = orig + epsilon
-        loss_plus = loss_fn(work, batch)[0]
-        arr[idx] = orig - epsilon
-        loss_minus = loss_fn(work, batch)[0]
-        arr[idx] = orig
-        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-            raise NumericError("non-finite loss during finite differencing")
-        central = (loss_plus - loss_minus) / (2.0 * epsilon)
-        grad_arr = grads.weight_grads[li] if name == "w" else grads.bias_grads[li]
-        analytic = grad_arr[idx]
-        worst = max(worst, abs(analytic - central) / max(1.0, abs(central)))
-    return float(worst)
 
 
 def parameter_nbytes(net: Network) -> int:

@@ -18,6 +18,8 @@ The serialized state is a compact binary record:
 
 Payload bits are index values in ascending sample-id order, b bits each,
 least-significant bit first. Code vectors are never stored anywhere.
+Nothing in the library reads a record back; the reader that checks this
+format is `deserialize_state` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .kmeans import kmeans_fit
 STATE_MAGIC = b"DCIX"
 STATE_VERSION = 1
 HEADER_BYTES = 13
-UNPACKED_INDEX_BITS = 64  # width of one stored machine integer
 
 
 @dataclass(frozen=True)
@@ -147,34 +148,19 @@ def distill_loss(predictor_logits: np.ndarray, state: DecorState, sample_ids):
     return nn.mean_cross_entropy(z, targets)
 
 
-def combined_loss(base: float, pd: float, lam: float, first_task: bool) -> float:
-    """Task loss L = L_base + lam * L_pd, with L_pd gated off on the first
-    task. L_base is cross-entropy or NT-Xent, depending on the method."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    return float(base) if first_task else float(base) + lam * float(pd)
-
-
 def bits_per_index(K: int) -> int:
     if K < 2:
         raise ConfigError(f"K must be >= 2, got {K}")
     return int(math.ceil(math.log2(K)))
 
 
-def storage_bits(num_samples: int, K: int, packed: bool = True) -> int:
-    """Bits needed to retain one index per sample.
-
-    Packed counts ceil(log2 K) bits per sample; unpacked counts one whole
-    machine integer (64 bits) per sample.
-    """
+def storage_bits(num_samples: int, K: int) -> int:
+    """Bits needed to retain one index per sample: ceil(log2 K) each."""
     if num_samples < 0:
         raise ConfigError(f"num_samples must be >= 0, got {num_samples}")
     if num_samples == 0:
         return 0
-    if K < 2:
-        raise ConfigError(f"K must be >= 2, got {K}")
-    per = bits_per_index(K) if packed else UNPACKED_INDEX_BITS
-    return num_samples * per
+    return num_samples * bits_per_index(K)
 
 
 def serialize_state(state: DecorState) -> bytes:
@@ -186,33 +172,3 @@ def serialize_state(state: DecorState) -> bytes:
     payload = np.packbits(bit_cols.astype(np.uint8).reshape(-1), bitorder="little")
     header = struct.pack("<4sBII", STATE_MAGIC, STATE_VERSION, state.K, n)
     return header + payload.tobytes()
-
-
-def deserialize_state(data: bytes, sample_ids=None) -> DecorState:
-    """Inverse of `serialize_state`.
-
-    Indices come back in ascending sample-id order; callers that used
-    non-contiguous ids must pass the same ids again (sorted ascending
-    internally) to rebind them.
-    """
-    if len(data) < HEADER_BYTES:
-        raise ConfigError(f"record too short for header: {len(data)} bytes")
-    magic, version, K, n = struct.unpack("<4sBII", data[:HEADER_BYTES])
-    if magic != STATE_MAGIC:
-        raise ConfigError(f"bad magic {magic!r}")
-    if version != STATE_VERSION:
-        raise ConfigError(f"unsupported version {version}")
-    b = bits_per_index(K)
-    expected = HEADER_BYTES + (n * b + 7) // 8
-    if len(data) != expected:
-        raise ConfigError(f"record length {len(data)} != expected {expected}")
-    raw = np.frombuffer(data[HEADER_BYTES:], dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: n * b].reshape(n, b)
-    indices = (bits.astype(np.int64) << np.arange(b, dtype=np.int64)[None, :]).sum(axis=1)
-    if sample_ids is None:
-        sample_ids = np.arange(n, dtype=np.int64)
-    else:
-        sample_ids = np.sort(np.asarray(sample_ids, dtype=np.int64))
-        if sample_ids.size != n:
-            raise ConfigError(f"got {sample_ids.size} sample ids for N={n}")
-    return DecorState(sample_ids, indices, K)

@@ -3,9 +3,14 @@
 These deliberately share no code with the library paths they check.
 """
 
+import struct
 from itertools import product
 
 import numpy as np
+
+from decor.errors import ConfigError, NumericError
+from decor.nn import Network
+from decor.regularizer import DecorState
 
 
 def brute_force_kmeans_optimum(x: np.ndarray, K: int) -> float:
@@ -68,3 +73,101 @@ def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         g[idx] = (hi - lo) / (2 * eps)
         it.iternext()
     return g
+
+
+def softmax(logits) -> np.ndarray:
+    """exp(z_i) / sum_j exp(z_j) of one logit vector, shifted by its max."""
+    e = np.exp(np.asarray(logits, dtype=np.float64) - np.max(logits))
+    return e / e.sum()
+
+
+def _param_coords(net: Network):
+    coords = []
+    for li, layer in enumerate(net.layers):
+        for idx in np.ndindex(layer.weights.shape):
+            coords.append((li, "w", idx))
+        for idx in np.ndindex(layer.bias.shape):
+            coords.append((li, "b", idx))
+    return coords
+
+
+def finite_difference_check(
+    net: Network,
+    loss_fn,
+    batch: np.ndarray,
+    epsilon: float = 1e-5,
+    max_params: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    `loss_fn(net, batch)` must return (loss, GradientSet). Returns the max
+    over sampled parameters of |analytic - central| / max(1, |central|).
+    """
+    if not 0 < epsilon <= 1e-2:
+        raise ConfigError(f"epsilon must be in (0, 1e-2], got {epsilon}")
+    base_loss, grads = loss_fn(net, batch)
+    if not np.isfinite(base_loss):
+        raise NumericError(f"loss is not finite: {base_loss}")
+    coords = _param_coords(net)
+    if max_params is not None and len(coords) > max_params:
+        rng = np.random.default_rng(seed)
+        picked = rng.choice(len(coords), size=max_params, replace=False)
+        coords = [coords[i] for i in picked]
+
+    work = net.copy()
+
+    def _array(li: int, name: str) -> np.ndarray:
+        layer = work.layers[li]
+        return layer.weights if name == "w" else layer.bias
+
+    worst = 0.0
+    for li, name, idx in coords:
+        arr = _array(li, name)
+        orig = arr[idx]
+        arr[idx] = orig + epsilon
+        loss_plus = loss_fn(work, batch)[0]
+        arr[idx] = orig - epsilon
+        loss_minus = loss_fn(work, batch)[0]
+        arr[idx] = orig
+        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+            raise NumericError("non-finite loss during finite differencing")
+        central = (loss_plus - loss_minus) / (2.0 * epsilon)
+        grad_arr = grads.weight_grads[li] if name == "w" else grads.bias_grads[li]
+        analytic = grad_arr[idx]
+        worst = max(worst, abs(analytic - central) / max(1.0, abs(central)))
+    return float(worst)
+
+
+def deserialize_state(data: bytes, sample_ids=None) -> DecorState:
+    """Reader of the DCIX record that `regularizer.serialize_state` writes,
+    from the layout in that module's docstring: a 13-byte header ("DCIX",
+    version 1, K, N) and ceil(log2 K) bits per index.
+
+    Indices come back in ascending sample-id order; callers that used
+    non-contiguous ids must pass the same ids again (sorted ascending
+    internally) to rebind them.
+    """
+    if len(data) < 13:
+        raise ConfigError(f"record too short for header: {len(data)} bytes")
+    magic, version, K, n = struct.unpack("<4sBII", data[:13])
+    if magic != b"DCIX":
+        raise ConfigError(f"bad magic {magic!r}")
+    if version != 1:
+        raise ConfigError(f"unsupported version {version}")
+    if K < 2:
+        raise ConfigError(f"K must be >= 2, got {K}")
+    b = (K - 1).bit_length()  # ceil(log2 K)
+    expected = 13 + (n * b + 7) // 8
+    if len(data) != expected:
+        raise ConfigError(f"record length {len(data)} != expected {expected}")
+    raw = np.frombuffer(data[13:], dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[: n * b].reshape(n, b)
+    indices = (bits.astype(np.int64) << np.arange(b, dtype=np.int64)[None, :]).sum(axis=1)
+    if sample_ids is None:
+        sample_ids = np.arange(n, dtype=np.int64)
+    else:
+        sample_ids = np.sort(np.asarray(sample_ids, dtype=np.int64))
+        if sample_ids.size != n:
+            raise ConfigError(f"got {sample_ids.size} sample ids for N={n}")
+    return DecorState(sample_ids, indices, K)

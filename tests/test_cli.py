@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -26,7 +27,6 @@ def _record(method, state_bytes, teacher_bytes):
         "lambda": 0.2,
         "seed": 0,
         "config_hash": "0" * 16,
-        "probe_mode": "LEP",
         "accuracy": [[100.0], [90.0, 100.0], [80.0, 90.0, 100.0]],
         "avg_accuracy": [100.0, 95.0, 90.0],
         "forgetting": [0.0, 10.0, 15.0],
@@ -63,7 +63,9 @@ def test_run_then_report(tmp_path, monkeypatch, capsys):
 
 def test_report_storage_is_the_peak_per_run(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
-    records = [_record("decor", [0, 213, 213], 0), _record("lwf", [0, 0, 0], 135728)]
+    # a record written before `probe_mode` was dropped still loads
+    old = {**_record("lwf", [0, 0, 0], 135728), "probe_mode": "LEP"}
+    records = [_record("decor", [0, 213, 213], 0), old]
     runs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     assert cli.main(["report", "--results", str(runs)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -95,9 +97,35 @@ def test_lookup_errors_exit_1_with_the_message(tmp_path, monkeypatch, capsys, fa
 
 
 def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
-    record = _record("decor", [0, 213, 213], 0)
-    del record["teacher_bytes"]
+    good = json.dumps(_record("lwf", [0, 0, 0], 135728))
+    no_teacher = _record("decor", [0, 213, 213], 0)
+    del no_teacher["teacher_bytes"]
+    cases = [
+        (json.dumps(no_teacher), "missing key 'teacher_bytes'"),
+        ("[1,2]", "expected a JSON object, got list"),
+        (
+            json.dumps(_record("decor", [], 0)),
+            "state_bytes_per_task: expected a list of T=3 entries, got []",
+        ),
+        (good[:10], "invalid JSON at column 11: Expecting value"),
+    ]
     runs = tmp_path / "runs.jsonl"
-    runs.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    assert cli.main(["report", "--results", str(runs)]) == 1
-    assert capsys.readouterr().err == "error: teacher_bytes\n"
+    for line, reason in cases:
+        runs.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        assert cli.main(["report", "--results", str(runs)]) == 1
+        assert capsys.readouterr().err == f"error: {runs}: line 3: {reason}\n"
+
+
+def test_sweep_runs_every_grid_point(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    config = _write_config(tmp_path, {**TINY, "method": "decor"})
+    assert cli.main(["sweep", "--config", config, "--grid", "K=4,8", "L=1,2"]) == 0
+    runs = (tmp_path / "results" / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(runs) == 4
+    with open(tmp_path / "results" / "sweep_summary.csv", encoding="utf-8") as fh:
+        summary = list(csv.DictReader(fh))
+    assert sorted((row["K"], row["L"]) for row in summary) == [
+        ("4", "1"), ("4", "2"), ("8", "1"), ("8", "2")
+    ]
+    for grid in (["K=1", "L=1"], ["K=4", "L=1", "Q=3"]):
+        assert cli.main(["sweep", "--config", config, "--grid", *grid]) == 2

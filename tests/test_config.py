@@ -4,7 +4,8 @@ from decor.config import ExperimentConfig, config_from_dict, load_config
 from decor.data import SyntheticConfig, generate_synthetic_tasks, save_feature_file
 from decor.errors import ConfigError
 
-# (YAML body, the key the error message must start with)
+# (YAML body, what the error message must start with: the key, or the key
+# and its reason)
 BAD = [
     ({"bogus": 1}, "bogus"),
     ({"probe": {"bogus": 1}}, "probe.bogus"),
@@ -28,11 +29,14 @@ BAD = [
     ({"encoder": {"hidden_dims": [True]}}, "encoder.hidden_dims"),
     ({"encoder": {"hidden_dims": [0]}}, "encoder.hidden_dims"),
     ({"predictor": {"hidden_dim": 0}}, "predictor.hidden_dim"),
+    ({"projector": {"hidden_dim": 0}}, "projector.hidden_dim"),
+    ({"projector": {"out_dim": 0}}, "projector.out_dim"),
     ({"augment": {"noise_sigma": -0.1}}, "augment.noise_sigma"),
     ({"augment": {"mask_fraction": 1.5}}, "augment.mask_fraction"),
     ({"lwf": {"weight": -1}}, "lwf.weight"),
-    ({"probe": {"mode": "XYZ"}}, "probe.mode"),
-    ({"probe": {"samples_per_task": 0}}, "probe.samples_per_task"),
+    # the subset-probe keys were removed and are now unknown
+    ({"probe": {"mode": "XYZ"}}, "probe.mode: unknown key"),
+    ({"probe": {"samples_per_task": 0}}, "probe.samples_per_task: unknown key"),
     ({"probe": {"epochs": 0}}, "probe.epochs"),
     ({"probe": {"lr": 0}}, "probe.lr"),
     ({"probe": {"batch_size": 0}}, "probe.batch_size"),
@@ -53,7 +57,7 @@ BAD = [
 def test_bad_value_names_its_yaml_key(body, key):
     with pytest.raises(ConfigError) as info:
         config_from_dict(body)
-    assert str(info.value).startswith(f"{key}:")
+    assert str(info.value).startswith(key if ": " in key else f"{key}:")
 
 
 def test_empty_body_is_the_default_config():
@@ -76,10 +80,10 @@ def test_sections_map_onto_fields():
 
 
 def test_sub_configs_carry_the_config_values():
-    config = config_from_dict({"K": 16, "L": 3, "probe": {"mode": "SLEP", "epochs": 7}})
+    config = config_from_dict({"K": 16, "L": 3, "probe": {"epochs": 7}})
     assert (config.predictor_config().K, config.predictor_config().L) == (16, 3)
     probe = config.probe_config(seed=4)
-    assert (probe.mode, probe.epochs, probe.seed) == ("SLEP", 7, 4)
+    assert (probe.epochs, probe.seed) == (7, 4)
     assert config.synthetic_config(seed=9).num_classes == config.num_classes
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from decor import nn
 from decor.errors import ConfigError, NumericError, ShapeError
+from oracles import finite_difference_check, softmax
 
 
 def _ce_loss_fn(targets):
@@ -82,15 +83,17 @@ class TestSoftmaxCrossEntropy:
     def test_grad_is_softmax_minus_onehot(self):
         logits = np.array([1.0, -2.0, 0.5])
         _, grad = _ce_one(logits, 1)
-        expected = nn.softmax(logits)
+        expected = softmax(logits)
         expected[1] -= 1.0
         assert np.allclose(grad, expected, atol=1e-15)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=16))
     def test_softmax_sums_to_one(self, vals):
-        p = nn.softmax(np.array(vals))
+        _, grad = _ce_one(np.array(vals), 0)
+        p = grad + np.eye(len(vals))[0]  # the gradient is softmax - one_hot
         assert abs(p.sum() - 1.0) < 1e-12
         assert (p >= 0).all()
+        assert np.allclose(p, softmax(vals), rtol=0, atol=1e-15)
 
     @given(st.integers(2, 64))
     def test_uniform_ce_equals_log_k(self, k):
@@ -195,7 +198,7 @@ class TestFiniteDifference:
             grads, _ = nn.backward(n_, caches, dpred)
             return loss, grads
 
-        assert nn.finite_difference_check(net, loss_fn, x, 1e-5) < 1e-8
+        assert finite_difference_check(net, loss_fn, x, 1e-5) < 1e-8
 
     @pytest.mark.parametrize("seed", range(20))
     def test_two_layer_rectifier_ce(self, seed):
@@ -203,7 +206,7 @@ class TestFiniteDifference:
         x = rng.standard_normal((6, 4))
         targets = rng.integers(0, 3, 6)
         net = nn.init_network([4, 5, 3], seed=seed)
-        err = nn.finite_difference_check(net, _ce_loss_fn(targets), x, 1e-5)
+        err = finite_difference_check(net, _ce_loss_fn(targets), x, 1e-5)
         assert err < 1e-4
 
     def test_corrupted_gradient_detected(self):
@@ -218,19 +221,19 @@ class TestFiniteDifference:
             grads.weight_grads[0][0, 0] += 0.1
             return loss, grads
 
-        assert nn.finite_difference_check(net, corrupted, x, 1e-5) > 1e-2
+        assert finite_difference_check(net, corrupted, x, 1e-5) > 1e-2
 
     def test_epsilon_validation(self):
         net = nn.init_network([2, 2], seed=0)
         with pytest.raises(ConfigError):
-            nn.finite_difference_check(net, _ce_loss_fn([0, 1]), np.ones((2, 2)), epsilon=0.5)
+            finite_difference_check(net, _ce_loss_fn([0, 1]), np.ones((2, 2)), epsilon=0.5)
 
     def test_sampled_subset(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 4))
         targets = rng.integers(0, 3, 4)
         net = nn.init_network([4, 8, 3], seed=4)
-        err = nn.finite_difference_check(net, _ce_loss_fn(targets), x, 1e-5, max_params=10)
+        err = finite_difference_check(net, _ce_loss_fn(targets), x, 1e-5, max_params=10)
         assert err < 1e-4
 
 

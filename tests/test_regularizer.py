@@ -8,14 +8,13 @@ from decor.regularizer import (
     HEADER_BYTES,
     DecorState,
     PredictorConfig,
-    combined_loss,
-    deserialize_state,
     distill_loss,
     increment,
     init_index_predictor,
     serialize_state,
     storage_bits,
 )
+from oracles import deserialize_state, finite_difference_check
 
 
 def _state(indices, K, ids=None):
@@ -174,47 +173,19 @@ class TestDistillLoss:
             grads, _ = nn.backward(net, caches, dlogits)
             return loss, grads
 
-        assert nn.finite_difference_check(stacked, loss_fn, x, 1e-5) < 1e-4
-
-
-class TestCombinedLosses:
-    def test_lambda_zero(self):
-        assert combined_loss(1.7, 9.9, 0.0, first_task=False) == 1.7
-        assert combined_loss(0.4, 9.9, 0.0, first_task=False) == 0.4
-
-    def test_arithmetic(self):
-        assert combined_loss(1.0, 0.5, 0.2, first_task=False) == pytest.approx(1.1)
-        assert combined_loss(0.55, 3.47, 0.2, first_task=False) == pytest.approx(1.244)
-
-    def test_first_task_gates_regularizer(self):
-        assert combined_loss(2.0, 123.0, 0.2, first_task=True) == 2.0
-        assert combined_loss(0.3, 123.0, 0.2, first_task=True) == 0.3
-
-    def test_negative_lambda(self):
-        with pytest.raises(ConfigError):
-            combined_loss(1.0, 1.0, -0.1, first_task=False)
-
-    @given(
-        st.floats(0, 10), st.floats(0, 10), st.floats(0, 5), st.booleans()
-    )
-    def test_gating_rule(self, ce, pd, lam, first):
-        value = combined_loss(ce, pd, lam, first)
-        assert value == (ce if first else ce + lam * pd)
+        assert finite_difference_check(stacked, loss_fn, x, 1e-5) < 1e-4
 
 
 class TestStorage:
     def test_packed_example(self):
-        assert storage_bits(1440, 32, packed=True) == 7200
-        assert storage_bits(1440, 32, packed=True) // 8 == 900
+        assert storage_bits(1440, 32) == 7200
+        assert storage_bits(1440, 32) // 8 == 900
 
     def test_empty_task(self):
         assert storage_bits(0, 32) == 0
 
     def test_one_bit_per_sample(self):
-        assert storage_bits(8, 2, packed=True) == 8
-
-    def test_unpacked_machine_integers(self):
-        assert storage_bits(10, 32, packed=False) == 640
+        assert storage_bits(8, 2) == 8
 
     def test_k_below_two(self):
         with pytest.raises(ConfigError):
@@ -222,7 +193,9 @@ class TestStorage:
 
     @given(st.integers(1, 10_000), st.integers(2, 4096))
     def test_packed_never_exceeds_unpacked(self, n, k):
-        assert storage_bits(n, k, packed=True) <= storage_bits(n, k, packed=False)
+        # the in-memory table keeps one int64 per sample
+        unpacked = _state(np.arange(n) % k, K=k).indices.nbytes * 8
+        assert storage_bits(n, k) <= unpacked
 
 
 class TestSerialization:
