@@ -106,18 +106,13 @@ def max_forgetting(A: AccuracyMatrix, t: int) -> float:
 
     Defined as 0 at t=1 (empty sum).
     """
-    if t == 1:
-        if not A.row_complete(1):
-            raise StateError("row 1 incomplete")
-        return 0.0
     for tau in range(1, t + 1):
         if not A.row_complete(tau):
             raise StateError(f"row {tau} incomplete")
-    total = 0.0
-    for j in range(1, t):
-        best = max(A.entry(tau, j) for tau in range(j, t + 1))
-        total += best - A.entry(t, j)
-    return total / (t - 1)
+    if t == 1:
+        return 0.0
+    drops = [max(A.entry(tau, j) for tau in range(j, t + 1)) - A.entry(t, j) for j in range(1, t)]
+    return sum(drops) / (t - 1)
 
 
 @dataclass
@@ -154,8 +149,11 @@ class RunRecord:
         missing = [key for key in keys.values() if key not in d]
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
+        for f in fields(cls):
+            if f.name in keys and not _fits(d[keys[f.name]], f.type):
+                raise ValueError(f"{keys[f.name]}: expected {f.type}, got {d[keys[f.name]]!r}")
         record = cls(**{name: d[key] for name, key in keys.items()})
-        if type(record.T) is not int or record.T < 1:
+        if record.T < 1:
             raise ValueError(f"T: expected an integer >= 1, got {record.T!r}")
         for name in _PER_TASK_FIELDS:
             value = getattr(record, name)
@@ -185,6 +183,14 @@ _JSON_KEYS = {"lam": "lambda"}
 _PER_TASK_FIELDS = [f.name for f in fields(RunRecord) if f.type.startswith("list[")]
 
 
+def _fits(value, type_name: str) -> bool:
+    """Whether a JSON value has the type a RunRecord field declares."""
+    if type_name.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, type_name[5:-1]) for v in value)
+    kind = {"str": str, "int": int, "float": (int, float)}[type_name]
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -201,8 +207,7 @@ class _SgdMomentum:
     def __init__(self, lr: float, momentum: float):
         if not 0.0 <= momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
+        self.lr, self.momentum = lr, momentum
         self._velocity: dict[str, nn.GradientSet] = {}
 
     def step(self, name: str, net: nn.Network, grads: nn.GradientSet) -> nn.Network:
@@ -361,8 +366,7 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
 
 def sweep(config, K_values, L_values) -> list[RunRecord]:
     """One run per (K, L, seed) grid point, tasks rebuilt per seed."""
-    K_values = list(K_values)
-    L_values = list(L_values)
+    K_values, L_values = list(K_values), list(L_values)
     if not K_values or not L_values:
         raise ConfigError("sweep grid is empty")
     records = []

@@ -77,12 +77,7 @@ class Network:
         return self.layers[-1].out_dim
 
     def copy(self) -> "Network":
-        return Network(
-            [
-                DenseParams(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
+        return Network([DenseParams(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers])
 
 
 @dataclass
@@ -210,13 +205,21 @@ def mean_cross_entropy(logits: np.ndarray, targets, class_mask: np.ndarray | Non
         if not mask[y].all():
             raise IndexError("target labels a masked class")
         z = np.where(mask[None, :], z, z + MASKED_LOGIT)
+    dlogits, shifted, total = softmax_ce_grad(z, y)
+    return float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), y])), dlogits
+
+
+def softmax_ce_grad(z: np.ndarray, y: np.ndarray):
+    """The one softmax-CE core, unchecked: returns (softmax(z) - one_hot(y)) / rows,
+    the shifted logits and their exp's row sums. Its callers are `mean_cross_entropy`,
+    after its checks, and `probe._fit_head`, which checks its own inputs."""
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(n), y]))
-    p = e / total
-    p[np.arange(n), y] -= 1.0
-    return loss, p / n
+    e /= total
+    e[np.arange(len(y)), y] -= 1.0
+    e /= len(y)
+    return e, shifted, total
 
 
 def sgd_step(net: Network, grads: GradientSet, lr: float) -> Network:

@@ -3,6 +3,11 @@
 One linear classifier is trained on every seen task's full train split,
 and accuracy is measured on each task's held-out test rows. The encoder is
 never modified; the probe asserts its checksum around every evaluation.
+
+SGD updates the head's raw `W, b` in place on each epoch's rows, gathered
+once; `nn.softmax_ce_grad` gives the gradient and no input gradient is
+formed. Labels are range-checked once per probe, logits are checked for
+finiteness on every step, and the final `W, b` pass `nn.DenseParams`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .data import TaskDataset
-from .errors import ConfigError, StateError
+from .errors import ConfigError, NumericError, StateError
 from .seeds import rng_for, sub_seed
 
 
@@ -46,21 +51,32 @@ def linear_probe(train_sets, test_sets, num_classes: int, cfg: ProbeConfig) -> l
         raise ConfigError("train/test task lists differ in length")
     x = np.vstack([f for f, _ in train_sets])
     y = np.concatenate([l for _, l in train_sets]).astype(np.int64)
-    head = nn.init_network([x.shape[1], num_classes], seed=sub_seed(cfg.seed, "probe-init"))
-    n = x.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, "probe-shuffle", epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            logits, caches = nn.forward_cached(head, x[rows])
-            _, dlogits = nn.mean_cross_entropy(logits, y[rows])
-            grads, _ = nn.backward(head, caches, dlogits)
-            head = nn.sgd_step(head, grads, cfg.lr)
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
+        raise IndexError(f"label outside [0, {num_classes})")
+    head = nn.Network([nn.DenseParams(*_fit_head(x, y, num_classes, cfg))])
     accuracies = []
     for feats, labels in test_sets:
         pred = nn.forward(head, feats).argmax(axis=1)
         accuracies.append(float(np.mean(pred == labels) * 100.0))
     return accuracies
+
+
+def _fit_head(x: np.ndarray, y: np.ndarray, num_classes: int, cfg: ProbeConfig):
+    """Minibatch SGD on the head's raw arrays; returns the final (W, b)."""
+    layer = nn.init_network([x.shape[1], num_classes], seed=sub_seed(cfg.seed, "probe-init")).layers[0]
+    w, b = layer.weights, layer.bias
+    for epoch in range(cfg.epochs):
+        order = rng_for(cfg.seed, "probe-shuffle", epoch).permutation(len(x))
+        xs, ys = x[order], y[order]
+        for start in range(0, len(x), cfg.batch_size):
+            xb = xs[start : start + cfg.batch_size]
+            logits = xb @ w.T + b
+            if not np.isfinite(logits).all():
+                raise NumericError("non-finite logits")
+            g = nn.softmax_ce_grad(logits, ys[start : start + cfg.batch_size])[0]
+            w -= cfg.lr * (g.T @ xb)
+            b -= cfg.lr * g.sum(axis=0)
+    return w, b
 
 
 def evaluate_probe(

@@ -8,9 +8,11 @@ from itertools import product
 
 import numpy as np
 
+from decor import nn
 from decor.errors import ConfigError, NumericError
 from decor.nn import Network
 from decor.regularizer import DecorState
+from decor.seeds import rng_for, sub_seed
 
 
 def brute_force_kmeans_optimum(x: np.ndarray, K: int) -> float:
@@ -171,3 +173,26 @@ def deserialize_state(data: bytes, sample_ids=None) -> DecorState:
         if sample_ids.size != n:
             raise ConfigError(f"got {sample_ids.size} sample ids for N={n}")
     return DecorState(sample_ids, indices, K)
+
+
+def reference_probe_head(x: np.ndarray, y: np.ndarray, num_classes: int, cfg) -> Network:
+    """The linear probe's SGD loop as one `Network` per step.
+
+    Each step gathers its rows, runs `nn.forward_cached`, `nn.backward` (input
+    gradient included) and `nn.sgd_step`, and writes the softmax-CE gradient
+    out in full, in the same operation order as the library's core.
+    """
+    head = nn.init_network([x.shape[1], num_classes], seed=sub_seed(cfg.seed, "probe-init"))
+    n = x.shape[0]
+    for epoch in range(cfg.epochs):
+        order = rng_for(cfg.seed, "probe-shuffle", epoch).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            logits, caches = nn.forward_cached(head, x[rows])
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            p = e / e.sum(axis=1, keepdims=True)
+            p[np.arange(len(rows)), y[rows]] -= 1.0
+            grads, _ = nn.backward(head, caches, p / len(rows))
+            head = nn.sgd_step(head, grads, cfg.lr)
+    return head

@@ -108,6 +108,15 @@ def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
             "state_bytes_per_task: expected a list of T=3 entries, got []",
         ),
         (good[:10], "invalid JSON at column 11: Expecting value"),
+        (json.dumps(_record("decor", [0, 213, 213], "x")), "teacher_bytes: expected int, got 'x'"),
+        (
+            json.dumps({**_record("lwf", [0, 0, 0], 0), "avg_accuracy": ["a", "b", "c"]}),
+            "avg_accuracy: expected list[float], got ['a', 'b', 'c']",
+        ),
+        (
+            json.dumps({**_record("lwf", [0, 0, 0], 0), "method": ["decor"]}),
+            "method: expected str, got ['decor']",
+        ),
     ]
     runs = tmp_path / "runs.jsonl"
     for line, reason in cases:

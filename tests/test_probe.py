@@ -1,4 +1,5 @@
-"""Linear probe: pinned accuracies on seeded cases and the probe's checks.
+"""Linear probe: pinned accuracies on seeded cases, the trained head against
+the per-step reference loop, and the probe's checks.
 
 The pins are sha256 digests of the float64 accuracy bytes, so any change
 in the probe's arithmetic (summation order, update order, shuffling) shows
@@ -9,8 +10,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import reference_probe_head
 
-from decor.probe import ProbeConfig, linear_probe
+from decor import nn
+from decor.errors import ConfigError, NumericError, StateError
+from decor.probe import ProbeConfig, _fit_head, linear_probe
+from decor.seeds import sub_seed
 
 
 def _sets(seed, tasks, n_train, n_test, dim, classes, spread=1.5):
@@ -77,3 +82,71 @@ def test_accuracies_match_the_pin(name):
     accs = linear_probe(train_sets, test_sets, num_classes, cfg)
     assert len(accs) == len(test_sets)
     assert _digest(accs) == pin
+
+
+def _stacked(train_sets):
+    return np.vstack([f for f, _ in train_sets]), np.concatenate([l for _, l in train_sets])
+
+
+# the pinned cases plus one at the stress scale's head shape (64 features, 50 classes)
+FIT_CASES = {name: case[:3] for name, case in CASES.items()} | {
+    "wide": ((9, 2, 300, 10, 64, list(range(50))), 50, ProbeConfig(epochs=2, seed=8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_trained_head_matches_the_reference_loop_bitwise(name):
+    args, num_classes, cfg = FIT_CASES[name]
+    x, y = _stacked(_sets(*args)[0])
+    w, b = _fit_head(x, y, num_classes, cfg)
+    (ref,) = reference_probe_head(x, y, num_classes, cfg).layers
+    assert w.tobytes() == ref.weights.tobytes()
+    assert b.tobytes() == ref.bias.tobytes()
+
+
+@pytest.mark.parametrize("bad_label", [-1, 3])
+def test_a_label_outside_the_classes_raises_index_error(bad_label):
+    train_sets, test_sets = _sets(1, 1, 50, 10, 4, [0, 1, 2])
+    train_sets[0][1][7] = bad_label
+    with pytest.raises(IndexError):
+        linear_probe(train_sets, test_sets, 3, ProbeConfig(epochs=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_feature_raises_numeric_error(value):
+    train_sets, test_sets = _sets(1, 2, 50, 10, 4, [0, 1, 2])
+    train_sets[1][0][5, 2] = value
+    with pytest.raises(NumericError):
+        linear_probe(train_sets, test_sets, 3, ProbeConfig(epochs=1))
+
+
+def test_a_diverging_head_raises_numeric_error():
+    train_sets, test_sets = _sets(1, 1, 50, 10, 4, [0, 1, 2])
+    train_sets[0][0][:] *= 1e200
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        linear_probe(train_sets, test_sets, 3, ProbeConfig(epochs=2, lr=1e200))
+
+
+def test_mismatched_or_empty_task_lists_raise():
+    train_sets, test_sets = _sets(1, 2, 20, 10, 4, [0, 1])
+    with pytest.raises(ConfigError):
+        linear_probe(train_sets, test_sets[:1], 2, ProbeConfig())
+    with pytest.raises(StateError):
+        linear_probe([], [], 2, ProbeConfig())
+
+
+def test_zero_train_rows_score_the_untrained_head():
+    _, test_sets = _sets(2, 2, 1, 40, 4, [0, 1, 2])
+    empty = [(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))] * 2
+    cfg = ProbeConfig(epochs=3, seed=5)
+    head = nn.init_network([4, 3], seed=sub_seed(cfg.seed, "probe-init"))
+    expected = [float(np.mean(nn.forward(head, f).argmax(axis=1) == l) * 100.0) for f, l in test_sets]
+    assert linear_probe(empty, test_sets, 3, cfg) == expected
+
+
+def test_inputs_are_left_unchanged():
+    for tasks in (1, 3):
+        train_sets, test_sets = _sets(3, tasks, 40, 20, 5, [0, 1, 2, 3])
+        before = [a.tobytes() for pair in train_sets + test_sets for a in pair]
+        linear_probe(train_sets, test_sets, 4, ProbeConfig(epochs=2, batch_size=16))
+        assert [a.tobytes() for pair in train_sets + test_sets for a in pair] == before
