@@ -56,22 +56,24 @@ def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _flat_rows(record: RunRecord) -> list[dict]:
-    return [
-        {
-            "method": record.method,
-            "T": record.T,
-            "K": record.K,
-            "L": record.L,
-            "lambda": record.lam,
-            "seed": record.seed,
-            "t": i + 1,
-            "A_t": repr(record.avg_accuracy[i]),
-            "F_t": repr(record.forgetting[i]),
-            "storage_bits": record.storage_bits_per_task[i],
-            "wall_ms": f"{record.wall_ms_per_task[i]:.3f}",
-        }
-        for i in range(record.T)
-    ]
+    rows = []
+    for i in range(record.T):
+        rows.append(
+            {
+                "method": record.method,
+                "T": record.T,
+                "K": record.K,
+                "L": record.L,
+                "lambda": record.lam,
+                "seed": record.seed,
+                "t": i + 1,
+                "A_t": repr(record.avg_accuracy[i]),
+                "F_t": repr(record.forgetting[i]),
+                "storage_bits": record.storage_bits_per_task[i],
+                "wall_ms": f"{record.wall_ms_per_task[i]:.3f}",
+            }
+        )
+    return rows
 
 
 def _write_records(records: list[RunRecord], out_dir: Path) -> None:
@@ -112,7 +114,8 @@ def _parse_grid(parts: list[str]) -> tuple[list[int], list[int]]:
             raise ConfigError(f"grid: {name}: {exc}") from exc
         if not grid[name]:
             raise ConfigError(f"grid: {name}: no values")
-    K_values, L_values = grid.get("K", []), grid.get("L", [])
+    K_values = grid.get("K", [])
+    L_values = grid.get("L", [])
     if not K_values or not L_values:
         raise ConfigError("grid: both K and L axes are required")
     if any(k < 2 for k in K_values):
@@ -151,6 +154,7 @@ def _human_bytes(n: float) -> str:
         if n < 1024 or unit == "GB":
             return f"{n:.2f} {unit}" if unit != "B" else f"{n:.0f} B"
         n /= 1024.0
+    return f"{n:.0f} B"
 
 
 def cmd_report(args) -> int:
@@ -204,8 +208,17 @@ def cmd_report(args) -> int:
             for t in range(1, T + 1):
                 a_vals = [r.avg_accuracy[t - 1] for r in group if r.T >= t]
                 f_vals = [r.forgetting[t - 1] for r in group if r.T >= t]
-                stats = [repr(float(fn(v))) for v in (a_vals, f_vals) for fn in (np.mean, np.std)]
-                writer.writerow([method, t, *stats, len(a_vals)])
+                writer.writerow(
+                    [
+                        method,
+                        t,
+                        repr(float(np.mean(a_vals))),
+                        repr(float(np.std(a_vals))),
+                        repr(float(np.mean(f_vals))),
+                        repr(float(np.std(f_vals))),
+                        len(a_vals),
+                    ]
+                )
     print(f"curves: {curves_path}")
     return 0
 

@@ -106,13 +106,18 @@ def max_forgetting(A: AccuracyMatrix, t: int) -> float:
 
     Defined as 0 at t=1 (empty sum).
     """
+    if t == 1:
+        if not A.row_complete(1):
+            raise StateError("row 1 incomplete")
+        return 0.0
     for tau in range(1, t + 1):
         if not A.row_complete(tau):
             raise StateError(f"row {tau} incomplete")
-    if t == 1:
-        return 0.0
-    drops = [max(A.entry(tau, j) for tau in range(j, t + 1)) - A.entry(t, j) for j in range(1, t)]
-    return sum(drops) / (t - 1)
+    total = 0.0
+    for j in range(1, t):
+        best = max(A.entry(tau, j) for tau in range(j, t + 1))
+        total += best - A.entry(t, j)
+    return total / (t - 1)
 
 
 @dataclass
@@ -150,14 +155,15 @@ class RunRecord:
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
         for f in fields(cls):
-            if f.name in keys and not _fits(d[keys[f.name]], f.type):
-                raise ValueError(f"{keys[f.name]}: expected {f.type}, got {d[keys[f.name]]!r}")
+            key = keys.get(f.name)
+            if key is not None and not _fits(d[key], f.type):
+                raise ValueError(f"{key}: expected {f.type}, got {d[key]!r}")
         record = cls(**{name: d[key] for name, key in keys.items()})
         if record.T < 1:
             raise ValueError(f"T: expected an integer >= 1, got {record.T!r}")
         for name in _PER_TASK_FIELDS:
             value = getattr(record, name)
-            if not isinstance(value, list) or len(value) != record.T:
+            if len(value) != record.T:
                 raise ValueError(f"{name}: expected a list of T={record.T} entries, got {value!r}")
         return record
 
@@ -187,8 +193,7 @@ def _fits(value, type_name: str) -> bool:
     """Whether a JSON value has the type a RunRecord field declares."""
     if type_name.startswith("list["):
         return isinstance(value, list) and all(_fits(v, type_name[5:-1]) for v in value)
-    kind = {"str": str, "int": int, "float": (int, float)}[type_name]
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return type(value) in {"str": (str,), "int": (int,), "float": (int, float)}[type_name]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -207,7 +212,8 @@ class _SgdMomentum:
     def __init__(self, lr: float, momentum: float):
         if not 0.0 <= momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr, self.momentum = lr, momentum
+        self.lr = lr
+        self.momentum = momentum
         self._velocity: dict[str, nn.GradientSet] = {}
 
     def step(self, name: str, net: nn.Network, grads: nn.GradientSet) -> nn.Network:
@@ -366,7 +372,8 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
 
 def sweep(config, K_values, L_values) -> list[RunRecord]:
     """One run per (K, L, seed) grid point, tasks rebuilt per seed."""
-    K_values, L_values = list(K_values), list(L_values)
+    K_values = list(K_values)
+    L_values = list(L_values)
     if not K_values or not L_values:
         raise ConfigError("sweep grid is empty")
     records = []

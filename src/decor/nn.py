@@ -77,7 +77,12 @@ class Network:
         return self.layers[-1].out_dim
 
     def copy(self) -> "Network":
-        return Network([DenseParams(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers])
+        return Network(
+            [
+                DenseParams(l.weights.copy(), l.bias.copy(), l.activation)
+                for l in self.layers
+            ]
+        )
 
 
 @dataclass

@@ -6,8 +6,9 @@ never modified; the probe asserts its checksum around every evaluation.
 
 SGD updates the head's raw `W, b` in place; `nn.softmax_ce_grad` gives the
 gradient and no input gradient is formed. Each step gathers its own rows,
-which measured faster than gathering a whole epoch's at once. Labels are range-checked once per probe, logits are checked for
-finiteness on every step, and the final `W, b` pass `nn.DenseParams`.
+which measured faster than gathering a whole epoch's at once. Labels are
+range-checked once per probe, logits are checked for finiteness on every
+step, and the final `W, b` pass `nn.DenseParams`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def linear_probe(train_sets, test_sets, num_classes: int, cfg: ProbeConfig) -> l
 
 def _fit_head(x: np.ndarray, y: np.ndarray, num_classes: int, cfg: ProbeConfig):
     """Minibatch SGD on the head's raw arrays; returns the final (W, b)."""
-    layer = nn.init_network([x.shape[1], num_classes], seed=sub_seed(cfg.seed, "probe-init")).layers[0]
+    seed = sub_seed(cfg.seed, "probe-init")
+    layer = nn.init_network([x.shape[1], num_classes], seed=seed).layers[0]
     w, b = layer.weights, layer.bias
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, "probe-shuffle", epoch).permutation(len(x))
@@ -86,8 +88,6 @@ def evaluate_probe(
     cfg: ProbeConfig,
 ) -> list[float]:
     """Full protocol for one checkpoint: extract, train, score."""
-    if not tasks_seen:
-        raise StateError("no seen tasks to probe")
     before = nn.parameter_checksum(encoder)
     train_sets, test_sets = [], []
     for task in tasks_seen:
