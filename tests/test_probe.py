@@ -104,6 +104,18 @@ def test_trained_head_matches_the_reference_loop_bitwise(name):
     assert b.tobytes() == ref.bias.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_other_feature_dtypes_match_the_reference_loop_bitwise(dtype):
+    x, y = _stacked(_sets(10, 2, 80, 10, 6, [0, 1, 2])[0])
+    x = (x * 10).astype(dtype)
+    cfg = ProbeConfig(epochs=2, batch_size=16, seed=9)
+    w, b = _fit_head(x, y, 3, cfg)
+    (ref,) = reference_probe_head(x, y, 3, cfg).layers
+    assert (w.dtype, b.dtype) == (np.float64, np.float64)
+    assert w.tobytes() == ref.weights.tobytes()
+    assert b.tobytes() == ref.bias.tobytes()
+
+
 @pytest.mark.parametrize("bad_label", [-1, 3])
 def test_a_label_outside_the_classes_raises_index_error(bad_label):
     train_sets, test_sets = _sets(1, 1, 50, 10, 4, [0, 1, 2])
