@@ -9,7 +9,8 @@ from itertools import product
 import numpy as np
 
 from decor import nn
-from decor.errors import ConfigError, NumericError
+from decor.data import FORMAT_HEADER_PREFIX, TaskDataset, validate_task_sequence
+from decor.errors import ConfigError, NumericError, ParseError, ValidationError
 from decor.nn import Network
 from decor.regularizer import DecorState
 from decor.seeds import rng_for, sub_seed
@@ -196,3 +197,75 @@ def reference_probe_head(x: np.ndarray, y: np.ndarray, num_classes: int, cfg) ->
             grads, _ = nn.backward(head, caches, p / len(rows))
             head = nn.sgd_step(head, grads, cfg.lr)
     return head
+
+
+def reference_load_feature_file(path) -> list[TaskDataset]:
+    """The feature-file loader as a per-line Python walk: every float boxed,
+    rows grouped in a dict. The library's one-pass loader must build the
+    same arrays, or raise the same error class at the same line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file (no header)")
+    header = lines[0]
+    if not header.startswith(FORMAT_HEADER_PREFIX):
+        raise ParseError(f"{path}: line 1: bad header {header[:40]!r}")
+    fields = dict(
+        part.split("=", 1) for part in header[len(FORMAT_HEADER_PREFIX):].split() if "=" in part
+    )
+    try:
+        num_classes = int(fields["num_classes"])
+        dim = int(fields["feature_dim"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{path}: line 1: header missing num_classes/feature_dim") from exc
+
+    rows: dict[int, list] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4 + dim:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {4 + dim} columns, got {len(parts)}"
+            )
+        try:
+            task_id = int(parts[0])
+            sample_id = int(parts[1])
+            label = int(parts[3])
+            feats = [float(v) for v in parts[4:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        split = parts[2]
+        if split not in ("train", "test"):
+            raise ParseError(f"{path}: line {lineno}: split must be train|test, got {split!r}")
+        if not 0 <= label < num_classes:
+            raise ValidationError(
+                f"{path}: line {lineno}: label {label} outside [0, {num_classes})"
+            )
+        rows.setdefault(task_id, []).append((sample_id, split, label, feats))
+
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    tasks = []
+    for task_id in sorted(rows):
+        recs = rows[task_id]
+        samples = np.array([r[3] for r in recs], dtype=np.float64)
+        if not np.isfinite(samples).all():
+            # rare, so the line is looked for only now
+            bad = next(
+                lineno
+                for lineno, line in enumerate(lines[1:], start=2)
+                if line.strip() and not np.isfinite([float(v) for v in line.split(",")[4:]]).all()
+            )
+            raise ValidationError(f"{path}: line {bad}: non-finite feature value")
+        tasks.append(
+            TaskDataset(
+                task_id=task_id,
+                samples=samples,
+                labels=np.array([r[2] for r in recs], dtype=np.int64),
+                sample_ids=np.array([r[0] for r in recs], dtype=np.int64),
+                split=np.array([r[1] for r in recs], dtype="<U5"),
+            )
+        )
+    validate_task_sequence(tasks)
+    return tasks

@@ -96,6 +96,18 @@ def test_lookup_errors_exit_1_with_the_message(tmp_path, monkeypatch, capsys, fa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_run_on_an_id_past_int64_exits_1_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "feats.csv"
+    data.write_text(
+        "#decor-features v1 num_classes=4 feature_dim=2\n1,99999999999999999999,train,0,1.5,2.5\n",
+        encoding="utf-8",
+    )
+    config = _write_config(tmp_path, {**TINY, "data": {"source": "file", "path": str(data)}})
+    assert cli.main(["run", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: line 2: could not convert string '99999999999999999999' to int64\n"
+
+
 def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
     good = json.dumps(_record("lwf", [0, 0, 0], 135728))
     no_teacher = _record("decor", [0, 213, 213], 0)

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from decor.data import (
 )
 from decor.errors import ConfigError, ParseError, ValidationError
 from decor.kmeans import kmeans_fit
+from oracles import reference_load_feature_file
 
 
 class TestSplitClasses:
@@ -192,6 +196,35 @@ class TestFeatureFile:
         with pytest.raises(ValidationError, match=r"line 4: non-finite"):
             load_feature_file(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "99999999999999999999,0,train,0,1.5",
+            "1,-9223372036854775809,train,0,1.5",
+            "1,0,train,9223372036854775808,1.5",
+        ],
+    )
+    def test_integer_past_int64_names_line(self, tmp_path, row):
+        path = tmp_path / "big.csv"
+        path.write_text(f"#decor-features v1 num_classes=2 feature_dim=1\n1,5,train,0,0.5\n{row}\n")
+        with pytest.raises(ParseError, match=r"line 3: could not convert string '-?\d+' to int64$"):
+            load_feature_file(path)
+
+    def test_load_peak_memory_is_a_few_times_the_features(self, tmp_path):
+        cfg = SyntheticConfig(num_classes=10, feature_dim=64, samples_per_class=300, seed=0)
+        path = tmp_path / "big.csv"
+        save_feature_file(generate_synthetic_tasks(cfg, T=5), path)
+        tracemalloc.start()
+        try:
+            tasks = load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_bytes = sum(t.samples.nbytes for t in tasks)
+        assert feature_bytes == 3000 * 64 * 8
+        # the per-line reference peaks at about 8.3x: boxed floats and split lines
+        assert peak <= 5 * feature_bytes
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -211,6 +244,124 @@ class TestFeatureFile:
         )
         with pytest.raises(ConfigError):
             load_feature_file(path)
+
+
+HEADER = "#decor-features v1 num_classes=4 feature_dim=2\n"
+GOOD = "1,0,train,0,1.5,2.5\n2,1,test,2,3.0,4.0\n1,2,test,1,-0.0,5e-324\n"
+
+# Inputs both loaders must treat alike: bit-for-bit the same tasks, or the
+# same error class at the same line.
+AGREE = {
+    "plain": GOOD,
+    "tasks interleaved": "2,9,train,3,1,2\n1,0,train,0,1.5,2.5\n2,1,test,2,3,4\n1,2,test,1,5,6\n",
+    "many rows interleaved": "".join(
+        f"{2 - i % 2},{i},{('train', 'test')[i % 3 > 1]},{i % 4},{i / 7},{-i}\n" for i in range(300)
+    ),
+    "label +1": "1,0,train,+1,1.5,2.5\n",
+    "label space 1": "1,0,train, 1,1.5,2.5\n",
+    "label 1.0": GOOD + "1,3,train,1.0,1.5,2.5\n",
+    "feature space 1.5 space": "1,0,train,0, 1.5 ,2.5\n",
+    "feature .5": "1,0,train,0,.5,2.5\n",
+    "feature 0x1p3": GOOD + "1,3,train,0,0x1p3,2.5\n",
+    "feature 1.5e": GOOD + "1,3,train,0,1.5e,2.5\n",
+    "feature empty": GOOD + "1,3,train,0,,2.5\n",
+    "feature nan": GOOD + "1,3,train,0,nan,2.5\n",
+    "feature Infinity": GOOD + "1,3,train,0,Infinity,2.5\n",
+    "feature 1e400": GOOD + "1,3,train,0,1e400,2.5\n",
+    "non-finite before a bad split": "1,0,train,0,nan,2.5\n1,1,tran,0,1,2\n",
+    "split space train": GOOD + "1,3, train,0,1.5,2.5\n",
+    "split train space": GOOD + "1,3,train ,0,1.5,2.5\n",
+    "split trains": GOOD + "1,3,trains,0,1.5,2.5\n",
+    "label out of range": GOOD + "1,3,train,4,1.5,2.5\n",
+    "CRLF": GOOD.replace("\n", "\r\n"),
+    "blank lines": "\n" + GOOD.replace("\n", "\n\n"),
+    "trailing comma": GOOD + "1,3,train,0,1.5,2.5,\n",
+    "a # line": "# a comment\n" + GOOD,
+    "form feed ending a row": "1,0,train,0,1.5,2.5\f\n",
+    "header only": "",
+    "blank lines only": "\n\n",
+    "no final newline": GOOD.rstrip("\n"),
+    "duplicate id": "1,0,train,0,1,2\n2,0,train,2,1,2\n",
+}
+
+# Spellings the parser in C refuses though Python's int()/float() read
+# them, or line breaks only str.splitlines() knows: the one-pass loader
+# raises a ParseError naming the line where the reference loaded the file.
+# An integer past int64 ended in an OverflowError in the reference.
+DEPART = {
+    "label 0_1": ("1,0,train,0_1,1.5,2.5\n", 2),
+    "feature 1_0": (GOOD + "1,3,train,0,1_0,2.5\n", 5),
+    "Arabic-Indic digit id": (GOOD + "1,٣,train,0,1.5,2.5\n", 5),
+    "whitespace-only line": ("1,0,train,0,1.5,2.5\n   \n1,1,test,1,1,2\n", 3),
+    "form feed line": ("1,0,train,0,1.5,2.5\n\f\n", 3),
+    "form feed between rows": ("1,0,train,0,1.5,2.5\f1,1,train,1,1,2\n", 2),
+    "id past int64": (GOOD + "1,99999999999999999999,train,0,1.5,2.5\n", 5),
+}
+
+
+def _outcome(load, path):
+    """The tasks' arrays as raw bytes, or the error class and line it names."""
+    try:
+        tasks = load(path)
+    except (ValueError, ArithmeticError) as exc:
+        line = re.search(r": line (\d+):", str(exc))
+        return type(exc), line and int(line.group(1))
+    fields = ("samples", "labels", "sample_ids", "split")
+    return [
+        (t.task_id, [(getattr(t, f).dtype.str, getattr(t, f).shape, getattr(t, f).tobytes()) for f in fields])
+        for t in tasks
+    ]
+
+
+class TestAgainstReferenceLoader:
+    @pytest.mark.parametrize("body", AGREE.values(), ids=AGREE.keys())
+    def test_same_tasks_or_same_error(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes((HEADER + body).encode("utf-8"))
+        assert _outcome(load_feature_file, path) == _outcome(reference_load_feature_file, path)
+
+    @pytest.mark.parametrize("body, line", DEPART.values(), ids=DEPART.keys())
+    def test_refusals_name_the_line(self, tmp_path, body, line):
+        path = tmp_path / "f.csv"
+        path.write_bytes((HEADER + body).encode("utf-8"))
+        assert _outcome(load_feature_file, path) == (ParseError, line)
+        reference = _outcome(reference_load_feature_file, path)
+        assert isinstance(reference, list) or reference[0] is OverflowError
+
+    @pytest.mark.parametrize("header", ["", "\n", "#decor-features v1 num_classes=4\n", "v1\n"])
+    def test_same_header_errors(self, tmp_path, header):
+        path = tmp_path / "f.csv"
+        path.write_text(header + GOOD, encoding="utf-8")
+        assert _outcome(load_feature_file, path) == _outcome(reference_load_feature_file, path)
+
+    def test_negative_feature_dim_fails_at_the_header(self, tmp_path):
+        # the reference took it for 3 columns and indexed past them
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER.replace("=2", "=-1") + "1,0,train\n", encoding="utf-8")
+        assert _outcome(load_feature_file, path) == (ParseError, 1)
+        with pytest.raises(IndexError):
+            reference_load_feature_file(path)
+
+    def test_form_feed_is_whitespace_not_a_line_break(self, tmp_path):
+        # str.splitlines() cut this row in two, so the reference refused it
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + "1,0,train,0,\f1.5,2.5\n", encoding="utf-8")
+        assert load_feature_file(path)[0].samples.tolist() == [[1.5, 2.5]]
+        assert _outcome(reference_load_feature_file, path) == (ParseError, 2)
+
+    def test_float_spellings_parse_to_the_same_bits(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-310, 300, 200)
+        values = scaled.tolist() + [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        spellings = ["{!r}", "{:.17g}", "{:.6e}", "{:.3f}", "{:+.20E}"]
+        rows = [
+            f"1,{i},train,{i % 4},{spellings[i % 5].format(a)},{spellings[(i + 1) % 5].format(b)}\n"
+            for i, (a, b) in enumerate(zip(values, values[::-1]))
+        ]
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8")
+        new = _outcome(load_feature_file, path)
+        assert isinstance(new, list) and new == _outcome(reference_load_feature_file, path)
 
 
 class TestTaskDataset:
