@@ -219,8 +219,8 @@ def load_feature_file(path) -> list[TaskDataset]:
     fields = dict(part.split("=", 1) for part in tokens if "=" in part)
     try:
         num_classes = int(fields["num_classes"])
-        dim = (int(fields["feature_dim"]),)
-        row = np.dtype([("task", "i8"), ("id", "i8"), ("split", "U6"), ("label", "i8"), ("f", "f8", dim)])
+        shape = (int(fields["feature_dim"]),)
+        row = np.dtype([("task", "i8"), ("id", "i8"), ("split", "U6"), ("label", "i8"), ("f", "f8", shape)])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: line 1: header needs num_classes and feature_dim >= 0") from exc
     with warnings.catch_warnings():
@@ -261,17 +261,14 @@ def _raise_first_bad_line(path, row: np.dtype, num_classes: int) -> None:
         if len(parts) != columns:
             raise ParseError(f"{path}: line {lineno}: expected {columns} columns, got {len(parts)}")
         try:
-            _, _, label = (int(parts[i]) for i in (0, 1, 3))
-            feats = [float(v) for v in parts[4:]]
-            # a spelling Python reads but the C parser does not, or past int64
-            np.loadtxt([line], row, delimiter=",", comments=None)
+            (rec,) = np.loadtxt([line], row, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {str(exc).partition(' at row ')[0]}") from exc
         if parts[2] not in ("train", "test"):
             raise ParseError(f"{path}: line {lineno}: split must be train|test, got {parts[2]!r}")
-        if not 0 <= label < num_classes:
-            raise ValidationError(f"{path}: line {lineno}: label {label} outside [0, {num_classes})")
-        if non_finite is None and not np.isfinite(feats).all():
+        if not 0 <= rec["label"] < num_classes:
+            raise ValidationError(f"{path}: line {lineno}: label {rec['label']} outside [0, {num_classes})")
+        if non_finite is None and not np.isfinite(rec["f"]).all():
             non_finite = lineno
     if non_finite is None:
         raise ParseError(f"{path}: the parser rejected rows that no line check names")
