@@ -11,8 +11,9 @@ text table, one sample per row:
 Ids and label fit int64 and the label lies in [0, n). The split is exactly
 `train` or `test`, with no spaces. The d features are finite floats,
 written with 17 significant digits so a save/load round trip is exact.
-Lines end in \n, \r\n or \r, empty lines are skipped, and there are no
-comment lines. Loading is one C pass; a line walk runs only to name an error.
+Lines end in \n, \r\n or \r, no line holds a NUL, empty lines are skipped,
+and there are no comment lines. Loading is one C pass; a line walk runs
+only to name an error.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def load_feature_file(path) -> list[TaskDataset]:
     if not first:
         raise ParseError(f"{path}: empty file (no header)")
     header = first.rstrip("\n")
-    if not header.startswith(FORMAT_HEADER_PREFIX) or header.splitlines() != [header]:
+    if not header.startswith(FORMAT_HEADER_PREFIX) or header.splitlines() != [header] or "\0" in header:
         raise ParseError(f"{path}: line 1: bad header {header[:40]!r}")
     tokens = header[len(FORMAT_HEADER_PREFIX):].split()
     fields = dict(part.split("=", 1) for part in tokens if "=" in part)
@@ -231,7 +232,7 @@ def load_feature_file(path) -> list[TaskDataset]:
             raise ParseError(f"{path}: no data rows") from None
         except ValueError:
             rows = None
-    if rows is None or not (
+    if rows is None or _holds_nul(path) or not (
         np.isin(rows["split"], ("train", "test")).all()
         and ((rows["label"] >= 0) & (rows["label"] < num_classes)).all()
         and np.isfinite(rows["f"]).all()
@@ -247,6 +248,13 @@ def load_feature_file(path) -> list[TaskDataset]:
     return tasks
 
 
+def _holds_nul(path) -> bool:
+    """Whether the file holds a NUL, read in 64 KiB chunks. numpy's string
+    fields drop trailing NULs, so `train\\0` would otherwise load as `train`."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 16), b""))
+
+
 def _raise_first_bad_line(path, row: np.dtype, num_classes: int) -> None:
     """Raise the error of a rejected file's first bad line; a non-finite
     feature is named only if no line fails anything else."""
@@ -257,6 +265,8 @@ def _raise_first_bad_line(path, row: np.dtype, num_classes: int) -> None:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        if "\0" in line:
+            raise ParseError(f"{path}: line {lineno}: NUL character")
         parts = line.split(",")
         if len(parts) != columns:
             raise ParseError(f"{path}: line {lineno}: expected {columns} columns, got {len(parts)}")

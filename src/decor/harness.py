@@ -20,7 +20,7 @@ A_t and the mean maximum forgetting F_t are computed:
     A_t = (1/t) * sum_{j<=t} A[t][j]
     F_t = (1/(t-1)) * sum_{j<t} max_{tau<=t} (A[tau][j] - A[t][j])
 
-One run is single-threaded and fully deterministic given (config, seed):
+One run is deterministic for any core count given (config, seed):
 every random choice flows through a named sub-seed stream, so enabling the
 regularizer with weight 0 replays the finetune trajectory bit for bit.
 """

@@ -10,7 +10,7 @@ import numpy as np
 
 from decor import nn
 from decor.data import FORMAT_HEADER_PREFIX, TaskDataset, validate_task_sequence
-from decor.errors import ConfigError, NumericError, ParseError, ValidationError
+from decor.errors import ConfigError, NumericError, ParseError, StateError, ValidationError
 from decor.nn import Network
 from decor.regularizer import DecorState
 from decor.seeds import rng_for, sub_seed
@@ -269,3 +269,106 @@ def reference_load_feature_file(path) -> list[TaskDataset]:
         )
     validate_task_sequence(tasks)
     return tasks
+
+
+def _sq_dists(features: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    diff = features[:, None, :] - codes[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_kmeanspp_init(features: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with `rng.choice(n, p=...)` drawing each center."""
+    n = features.shape[0]
+    centers = np.empty((K, features.shape[1]), dtype=np.float64)
+    centers[0] = features[rng.integers(n)]
+    d2 = ((features - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            # remaining points coincide with chosen centers
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[k] = features[idx]
+        d2 = np.minimum(d2, ((features - centers[k]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_nearest(features: np.ndarray, row_norms: np.ndarray, centers: np.ndarray):
+    """Nearest center of every row and its squared distance, every score,
+    distance and mean recomputed in full on every call."""
+    K, D = centers.shape
+    code_sq = np.einsum("kd,kd->k", centers, centers)
+    scores = features @ (-2.0 * centers.T) + code_sq  # ||x - c||^2 - ||x||^2
+    labels = scores.argmin(axis=1)
+    if K > 1:
+        rows = np.arange(len(labels))
+        best = scores[rows, labels]
+        scores[rows, labels] = np.inf
+        gap = scores.min(axis=1) - best
+        bound = 8 * (D + 4) * np.finfo(np.float64).eps * (row_norms + np.sqrt(code_sq.max())) ** 2
+        near = np.flatnonzero(~(gap > bound))
+        if near.size:
+            labels[near] = _sq_dists(features[near], centers).argmin(axis=1)
+    diff = features - centers[labels]
+    return labels, np.einsum("nd,nd->n", diff, diff)
+
+
+def reference_lloyd(features: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+    """Lloyd iterations that recompute every score, distance and mean on
+    every step; returns (centers, labels, objective, history)."""
+    K = centers.shape[0]
+    centers = centers.copy()
+    row_norms = np.sqrt(np.einsum("nd,nd->n", features, features))
+    history: list[float] = []
+    prev_obj = np.inf
+    labels = None
+    for _ in range(max_iters):
+        new_labels, nearest = reference_nearest(features, row_norms, centers)
+        obj = float(nearest.sum())
+        if obj > prev_obj * (1.0 + 1e-12) + 1e-12:
+            raise StateError(f"objective increased: {prev_obj} -> {obj}")
+        history.append(obj)
+        if labels is not None and np.array_equal(new_labels, labels):
+            labels = new_labels
+            prev_obj = obj
+            break
+        labels = new_labels
+        converged = prev_obj - obj < tol * max(prev_obj, 1e-12) if np.isfinite(prev_obj) else False
+        prev_obj = obj
+        if converged:
+            break
+        counts = np.bincount(labels, minlength=K)
+        starts = np.cumsum(counts) - counts
+        grouped = features[np.argsort(labels, kind="stable")]
+        filled = np.flatnonzero(counts)
+        for k in filled:
+            centers[k] = np.add.reduce(grouped[starts[k] : starts[k] + counts[k]], axis=0)
+        centers[filled] /= counts[filled, None]
+        for k in np.flatnonzero(counts == 0):
+            far = int(nearest.argmax())
+            centers[k] = features[far]
+            nearest[far] = -1.0
+    labels, nearest = reference_nearest(features, row_norms, centers)
+    obj = float(nearest.sum())
+    if history and obj > history[-1] * (1.0 + 1e-12) + 1e-12:
+        raise StateError(f"final assignment raised objective: {history[-1]} -> {obj}")
+    history.append(obj)
+    return centers, labels, obj, history
+
+
+def reference_kmeans_fit(
+    x: np.ndarray, K: int, seed: int, max_iters: int = 100, tol: float = 1e-6, n_restarts: int = 20
+):
+    """The restarts one after another in one thread, the lowest final
+    objective winning and ties going to the earliest restart; returns
+    (centers, labels, history) of the winner."""
+    best = None
+    for r in range(n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
+        centers0 = reference_kmeanspp_init(x, K, rng)
+        centers, labels, obj, history = reference_lloyd(x, centers0, max_iters, tol)
+        if best is None or obj < best[2]:
+            best = (centers, labels, obj, history)
+    centers, labels, _, history = best
+    return centers, labels, history

@@ -282,6 +282,11 @@ AGREE = {
     "blank lines only": "\n\n",
     "no final newline": GOOD.rstrip("\n"),
     "duplicate id": "1,0,train,0,1,2\n2,0,train,2,1,2\n",
+    # numpy's string fields drop trailing NULs: `train\0` parsed as `train`
+    "split train NUL": GOOD + "1,3,train\0,0,1.5,2.5\n",
+    "label NUL": GOOD + "1,3,train,0\0,1.5,2.5\n",
+    "NUL ending a row": GOOD + "1,3,train,0,1.5,2.5\0\n",
+    "NUL line": GOOD + "\0\n",
 }
 
 # Spellings the parser in C refuses though Python's int()/float() read
@@ -341,6 +346,13 @@ class TestAgainstReferenceLoader:
         assert _outcome(load_feature_file, path) == (ParseError, 1)
         with pytest.raises(IndexError):
             reference_load_feature_file(path)
+
+    def test_nul_in_an_ignored_header_token_fails_at_the_header(self, tmp_path):
+        # the reference skipped the token and loaded the file
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER.replace("\n", " \0\n") + GOOD, encoding="utf-8")
+        assert _outcome(load_feature_file, path) == (ParseError, 1)
+        assert isinstance(_outcome(reference_load_feature_file, path), list)
 
     def test_form_feed_is_whitespace_not_a_line_break(self, tmp_path):
         # str.splitlines() cut this row in two, so the reference refused it

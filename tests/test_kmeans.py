@@ -1,11 +1,21 @@
 import hashlib
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from decor.errors import ConfigError, NumericError
-from decor.kmeans import Codebook, IndexAssignment, _lloyd, kmeans_fit
-from oracles import brute_force_kmeans_optimum, brute_force_nearest
+from decor import kmeans
+from decor.errors import ConfigError, NumericError, StateError
+from decor.kmeans import Codebook, IndexAssignment, _kmeanspp_init, _lloyd, _Work, kmeans_fit
+from oracles import (
+    brute_force_kmeans_optimum,
+    brute_force_nearest,
+    reference_kmeans_fit,
+    reference_kmeanspp_init,
+    reference_lloyd,
+)
 
 FOUR_POINTS = np.array([[0.0], [2.0], [10.0], [12.0]])
 
@@ -247,3 +257,263 @@ def _fit_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_CASES))
 def test_pinned_fit_outputs(name):
     assert _fit_digest(name) == PINNED_SHA256[name]
+
+
+def _bits(*arrays) -> list:
+    """Dtype, shape and raw bytes: equal only if bit for bit equal (0.0 is not -0.0)."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.ascontiguousarray, arrays)]
+
+
+def _fit_bits(x, K, seed, **kwargs) -> list:
+    cb, asn, history = kmeans_fit(x, K, seed=seed, collect_history=True, **kwargs)
+    return _bits(cb.codes, asn.indices, np.array(history))
+
+
+def _reference_bits(x, K, seed, **kwargs) -> list:
+    centers, labels, history = reference_kmeans_fit(x, K, seed, **kwargs)
+    return _bits(centers, labels, np.array(history))
+
+
+class TestSeeding:
+    """k-means++ draws with cdf.searchsorted(rng.random()), which must pick the
+    index rng.choice(n, p=d2 / total) picks and leave the generator in the
+    same state."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: r.standard_normal((60, 3)),  # random weights
+            lambda r: r.standard_cauchy((40, 2)),  # weights over many scales
+            lambda r: np.repeat(r.standard_normal((5, 2)), 4, axis=0),  # zeros among the weights
+            lambda r: np.vstack([np.zeros((9, 2)), r.standard_normal((1, 2))]),  # one nonzero weight
+            lambda r: np.full((6, 2), 2.5),  # every weight zero
+        ],
+        ids=["gauss", "cauchy", "duplicates", "one-nonzero", "all-equal"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_match_rng_choice(self, make, seed):
+        x = make(np.random.default_rng(seed))
+        K = min(len(x), 8)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers = _kmeanspp_init(x, K, ours, _Work(*x.shape, K))
+        assert _bits(centers) == _bits(reference_kmeanspp_init(x, K, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _fuzz_case(i: int):
+    """(x, K, kmeans_fit keyword arguments) of fuzz case i."""
+    rng = np.random.default_rng(2000 + i)
+    D, n = (1, 64)[i % 2] if i < 12 else int(rng.integers(1, 65)), int(rng.integers(2, 90))
+    kind = i % 6
+    if kind == 0:
+        x, K = rng.standard_normal((n, D)), int(rng.integers(2, min(n, 12) + 1))
+    elif kind == 1:  # duplicate rows, fewer distinct rows than K: empty clusters
+        K = int(rng.integers(2, 11))
+        x = np.repeat(rng.standard_normal((int(rng.integers(1, K)), D)), int(rng.integers(2, 6)), axis=0)
+        x = x[rng.permutation(len(x))]
+    elif kind == 2:
+        x = rng.standard_normal((min(n, 14), D))
+        K = len(x)
+    elif kind == 3:
+        x, K = rng.standard_normal((n, D)) * 10.0, 1
+    elif kind == 4:  # an exact lattice at 1e8: many exact ties, GEMM scores cancel
+        x, K = 1e8 + rng.integers(-2, 5, size=(n, min(D, 6))) * 0.5, int(rng.integers(2, 9))
+    else:
+        centers = rng.uniform(-10, 10, size=(4, D))
+        x, K = centers[rng.integers(4, size=n)] + 0.5 * rng.standard_normal((n, D)), int(rng.integers(2, 9))
+    kwargs = [{}, {"max_iters": 1}, {"tol": 0.0}, {"max_iters": 3, "n_restarts": 5}][i % 4]
+    return x, min(K, len(x)), kwargs
+
+
+class TestAgainstSerialRecompute:
+    """The incremental Lloyd and the restart strands against the serial loop
+    that recomputes every score, distance and mean on every step."""
+
+    @pytest.mark.parametrize("i", range(48))
+    def test_fit_is_bitwise_the_serial_loop(self, i, cpus):
+        set_cpus, _ = cpus
+        set_cpus(1 + i % 3)
+        x, K, kwargs = _fuzz_case(i)
+        assert _fit_bits(x, K, i, **kwargs) == _reference_bits(x, K, i, **kwargs)
+
+    @pytest.mark.parametrize("i", range(48))
+    def test_lloyd_is_bitwise_the_full_recompute(self, i):
+        x, K, kwargs = _fuzz_case(i)
+        init = x[np.random.default_rng(i).choice(len(x), K, replace=False)]
+        max_iters, tol = kwargs.get("max_iters", 100), kwargs.get("tol", 1e-6)
+        c1, l1, o1, h1 = _lloyd(x, init, max_iters, tol)
+        c2, l2, o2, h2 = reference_lloyd(x, init, max_iters, tol)
+        assert _bits(c1, l1, np.array(h1 + [o1])) == _bits(c2, l2, np.array(h2 + [o2]))
+
+
+def _in_thread(fn, timeout=120.0):
+    """Run fn in a thread joined with a timeout, so a hang fails the test.
+
+    Returns (fn's result or the exception it raised, the threads it left running)."""
+    out = {}
+
+    def target():
+        before = set(threading.enumerate())
+        try:
+            out["value"] = fn()
+        except Exception as exc:
+            out["value"] = exc
+        out["leftover"] = set(threading.enumerate()) - before
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive()
+    return out["value"], out["leftover"]
+
+
+ROWS_PER_STRAND = kmeans._ROWS_PER_STRAND
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count kmeans_fit reads, let a strand run on any number of
+    rows, and record every thread started."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(kmeans, "_ROWS_PER_STRAND", 1)
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n))), started
+
+
+def _restart_of(rng) -> int:
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+class TestStrands:
+    X = np.random.default_rng(4).standard_normal((150, 6))
+
+    def test_one_cpu_starts_no_thread(self, cpus):
+        set_cpus, started = cpus
+        set_cpus(1)
+        bits, leftover = _in_thread(lambda: _fit_bits(self.X, 7, 3))
+        assert started[1:] == [] and not leftover  # started[0] is _in_thread's own
+        assert bits == _reference_bits(self.X, 7, 3)
+
+    def test_eight_cpus_with_constant_switching(self, cpus):
+        set_cpus, started = cpus
+        set_cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bits, leftover = _in_thread(lambda: _fit_bits(self.X, 7, 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 1 + 7 and not leftover
+        assert all(not t.is_alive() for t in started)
+        assert bits == _reference_bits(self.X, 7, 3)
+
+    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
+        set_cpus, started = cpus
+        set_cpus(2)
+        real, worker_ran = kmeans._lloyd, threading.Event()
+
+        def lloyd(*args):
+            if threading.current_thread() is started[0]:  # the calling strand waits for a worker
+                assert worker_ran.wait(30)
+                return real(*args)
+            worker_ran.set()
+            raise StateError("objective increased: 1.0 -> 2.0")
+
+        monkeypatch.setattr(kmeans, "_lloyd", lloyd)
+        count = threading.active_count()
+        error, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
+        assert type(error) is StateError and str(error) == "objective increased: 1.0 -> 2.0"
+        assert not leftover and threading.active_count() == count
+
+    def test_earliest_failing_restart_wins_not_the_first_to_fail(self, cpus, monkeypatch):
+        set_cpus, _ = cpus
+        set_cpus(4)
+        real_init, real_lloyd = kmeans._kmeanspp_init, kmeans._lloyd
+        local, six_failed = threading.local(), threading.Event()
+
+        def init(x, K, rng, work):
+            local.restart = _restart_of(rng)
+            return real_init(x, K, rng, work)
+
+        def lloyd(*args):
+            if local.restart == 3:  # fails only after restart 6 has
+                assert six_failed.wait(30)
+            elif local.restart == 6:
+                six_failed.set()
+            if local.restart in (3, 6):
+                raise StateError(f"objective increased: restart {local.restart}")
+            return real_lloyd(*args)
+
+        monkeypatch.setattr(kmeans, "_kmeanspp_init", init)
+        monkeypatch.setattr(kmeans, "_lloyd", lloyd)
+        error, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
+        assert str(error) == "objective increased: restart 3" and not leftover
+
+    def test_tied_winner_is_the_earliest_restart_not_the_first_done(self, cpus, monkeypatch):
+        # on a unit square's corners restarts 0 and 1 of seed 5 end at the
+        # same objective with different codes; restart 0 finishes last
+        x, seed = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 5
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, r])) for r in range(4)]
+        runs = [reference_lloyd(x, reference_kmeanspp_init(x, 2, rng), 100, 1e-6) for rng in rngs]
+        assert runs[0][2] == runs[1][2] and _bits(runs[0][0]) != _bits(runs[1][0])
+        set_cpus, _ = cpus
+        set_cpus(4)
+        real_init, real_lloyd = kmeans._kmeanspp_init, kmeans._lloyd
+        local, lock, done, others_done = threading.local(), threading.Lock(), [], threading.Event()
+
+        def init(x, K, rng, work):
+            local.restart = _restart_of(rng)
+            return real_init(x, K, rng, work)
+
+        def lloyd(*args):
+            if local.restart == 0:
+                assert others_done.wait(30)
+            result = real_lloyd(*args)
+            with lock:
+                done.append(local.restart)
+                if len(done) == 3:
+                    others_done.set()
+            return result
+
+        monkeypatch.setattr(kmeans, "_kmeanspp_init", init)
+        monkeypatch.setattr(kmeans, "_lloyd", lloyd)
+        bits, leftover = _in_thread(lambda: _fit_bits(x, 2, seed, n_restarts=4))
+        assert done[-1] == 0 and not leftover
+        assert bits == _reference_bits(x, 2, seed, n_restarts=4)
+        assert bits[0] == _bits(runs[0][0])[0]
+
+    def test_a_strand_needs_its_share_of_rows(self, cpus, monkeypatch):
+        set_cpus, started = cpus
+        set_cpus(8)
+        monkeypatch.setattr(kmeans, "_ROWS_PER_STRAND", ROWS_PER_STRAND)
+        x = np.random.default_rng(5).standard_normal((2 * ROWS_PER_STRAND, 3))
+        _, leftover = _in_thread(lambda: kmeans_fit(x[:-1], 4, seed=0, n_restarts=4))
+        assert len(started) == 1 and not leftover
+        _, leftover = _in_thread(lambda: kmeans_fit(x, 4, seed=0, n_restarts=4))
+        assert len(started) == 3 and not leftover  # two _in_thread threads, one worker
+
+    def test_workers_call_nothing_outside_kmeans(self, cpus):
+        set_cpus, started = cpus
+        set_cpus(2)
+        modules: dict = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                modules.setdefault(threading.current_thread(), set()).add(frame.f_globals.get("__name__"))
+
+        threading.setprofile(profile)
+        try:
+            _, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
+        finally:
+            threading.setprofile(None)
+        workers = started[1:]
+        assert len(workers) == 1 and not leftover
+        seen = set().union(*(modules.get(t, set()) for t in workers))
+        assert "decor.kmeans" in seen
+        assert {m for m in seen if m and m.split(".")[0] == "decor"} == {"decor.kmeans"}
