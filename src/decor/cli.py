@@ -1,17 +1,17 @@
 """Command-line entry point.
 
     decor run    --config cfg.yaml
-    decor sweep  --config cfg.yaml --grid K=8,16,32,64 L=1,2,3
+    decor sweep  --config cfg.yaml --grid lambda=0.2,1 K=8,16 probe.lr=0.1
     decor report --results results/runs.jsonl
 
-`run` and `sweep` append one JSON-lines record per (config, seed) run to
-<results_dir>/runs.jsonl and flattened per-task rows to runs.csv
-(columns: method,T,K,L,lambda,seed,t,A_t,F_t,storage_bits,wall_ms).
-`sweep` additionally appends one summary row per grid point to
-sweep_summary.csv. `report` prints a method-level table (mean and std over
-seeds of the final A_T / F_T, and the mean over seeds of each run's peak
-stored state: the decor index table or the LwF teacher) and writes
-accuracy-over-time curves to curves.csv next to the results file.
+`sweep` is `run` at every point of a grid. An axis is any config key
+(`section.key` inside a section) and its values, each read as YAML; every
+point is checked before the first run starts. Each run appends its record
+to <results_dir>/runs.jsonl, the only output, as soon as it ends. `report`
+keeps the last record per (config, seed) and prints one row per config:
+the mean and std over seeds of the final A_T / F_T, the mean peak stored
+state (the decor index table or the LwF teacher), and the `key=value`
+settings that tell the rows apart.
 
 Exit codes: 0 success, 1 runtime failure or missing/empty inputs,
 2 invalid configuration (the message names the offending key).
@@ -22,21 +22,18 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError
-from .harness import RunRecord, run_sequence, sweep
-
-CSV_COLUMNS = ["method", "T", "K", "L", "lambda", "seed", "t", "A_t", "F_t", "storage_bits", "wall_ms"]
-SUMMARY_COLUMNS = ["method", "K", "L", "seed", "A_T", "F_T", "storage_bits"]
+from .harness import RunRecord, run_sequence
 
 
 def _results_dir(config: ExperimentConfig) -> Path:
@@ -46,106 +43,42 @@ def _results_dir(config: ExperimentConfig) -> Path:
     return path
 
 
-def _append_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    fresh = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        if fresh:
-            writer.writeheader()
-        writer.writerows(rows)
+def _grid_points(axes: list[str]) -> list[dict]:
+    """Every combination of the `key=v1,v2,...` axes, as {key: value}."""
+    values = {}
+    for axis in axes:
+        key, _, text = axis.partition("=")
+        if key in values:
+            raise ConfigError(f"{key}: repeated grid axis")
+        try:
+            values[key] = yaml.safe_load(f"[{text}]")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{key}: invalid grid values {text!r}") from exc
+        if not values[key]:
+            raise ConfigError(f"{key}: no grid values")
+    return [dict(zip(values, point)) for point in itertools.product(*values.values())]
 
 
-def _flat_rows(record: RunRecord) -> list[dict]:
-    rows = []
-    for i in range(record.T):
-        rows.append(
-            {
-                "method": record.method,
-                "T": record.T,
-                "K": record.K,
-                "L": record.L,
-                "lambda": record.lam,
-                "seed": record.seed,
-                "t": i + 1,
-                "A_t": repr(record.avg_accuracy[i]),
-                "F_t": repr(record.forgetting[i]),
-                "storage_bits": record.storage_bits_per_task[i],
-                "wall_ms": f"{record.wall_ms_per_task[i]:.3f}",
-            }
-        )
-    return rows
-
-
-def _write_records(records: list[RunRecord], out_dir: Path) -> None:
-    with open(out_dir / "runs.jsonl", "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-    _append_csv(out_dir / "runs.csv", CSV_COLUMNS, [r for rec in records for r in _flat_rows(rec)])
+def _setting(key: str, value) -> str:
+    return f"{key}={value if isinstance(value, str) else json.dumps(value, separators=(',', ':'))}"
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    out_dir = _results_dir(config)
-    records = []
-    for seed in config.seeds:
-        tasks = config.tasks_for_seed(seed)
-        record = run_sequence(config, tasks, seed)
-        records.append(record)
-        print(
-            f"run method={record.method} seed={seed} "
-            f"A_{record.T}={record.avg_accuracy[-1]:.2f} F_{record.T}={record.forgetting[-1]:.2f}"
-        )
-    _write_records(records, out_dir)
-    print(f"wrote {len(records)} record(s) to {out_dir / 'runs.jsonl'}")
-    return 0
-
-
-def _parse_grid(parts: list[str]) -> tuple[list[int], list[int]]:
-    grid = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigError(f"grid: expected NAME=v1,v2,... got {part!r}")
-        name, values = part.split("=", 1)
-        if name not in ("K", "L"):
-            raise ConfigError(f"grid: unknown axis {name!r} (expected K or L)")
-        try:
-            grid[name] = [int(v) for v in values.split(",") if v != ""]
-        except ValueError as exc:
-            raise ConfigError(f"grid: {name}: {exc}") from exc
-        if not grid[name]:
-            raise ConfigError(f"grid: {name}: no values")
-    K_values = grid.get("K", [])
-    L_values = grid.get("L", [])
-    if not K_values or not L_values:
-        raise ConfigError("grid: both K and L axes are required")
-    if any(k < 2 for k in K_values):
-        raise ConfigError("grid: K values must be >= 2")
-    if any(l < 1 for l in L_values):
-        raise ConfigError("grid: L values must be >= 1")
-    return K_values, L_values
-
-
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    K_values, L_values = _parse_grid(args.grid)
-    out_dir = _results_dir(config)
-    records = sweep(config, K_values, L_values)
-    _write_records(records, out_dir)
-    summary = [
-        {
-            "method": r.method,
-            "K": r.K,
-            "L": r.L,
-            "seed": r.seed,
-            "A_T": repr(r.avg_accuracy[-1]),
-            "F_T": repr(r.forgetting[-1]),
-            "storage_bits": max(r.storage_bits_per_task),
-        }
-        for r in records
-    ]
-    _append_csv(out_dir / "sweep_summary.csv", SUMMARY_COLUMNS, summary)
-    print(f"swept {len(K_values)}x{len(L_values)} grid, {len(records)} run(s)")
-    print(f"summary: {out_dir / 'sweep_summary.csv'}")
+    runs = [(point, load_config(args.config, point)) for point in _grid_points(args.grid)]
+    written = 0
+    for point, config in runs:
+        runs_path = _results_dir(config) / "runs.jsonl"
+        settings = "".join(f" {_setting(key, value)}" for key, value in point.items())
+        for seed in config.seeds:
+            record = run_sequence(config, config.tasks_for_seed(seed), seed)
+            with open(runs_path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            written += 1
+            print(
+                f"run method={record.method}{settings} seed={seed} "
+                f"A_{record.T}={record.avg_accuracy[-1]:.2f} F_{record.T}={record.forgetting[-1]:.2f}"
+            )
+    print(f"wrote {written} record(s) to {runs_path}")
     return 0
 
 
@@ -154,7 +87,6 @@ def _human_bytes(n: float) -> str:
         if n < 1024 or unit == "GB":
             return f"{n:.2f} {unit}" if unit != "B" else f"{n:.0f} B"
         n /= 1024.0
-    return f"{n:.0f} B"
 
 
 def cmd_report(args) -> int:
@@ -179,47 +111,31 @@ def cmd_report(args) -> int:
         print(f"error: no records in {path}", file=sys.stderr)
         return 1
 
-    by_method: dict[str, list[RunRecord]] = defaultdict(list)
-    for record in records:
-        by_method[record.method].append(record)
+    # a later run of the same (config, seed) replaces the earlier one
+    latest = {(record.config_hash, record.seed): record for record in records}
+    by_config: dict[str, list[RunRecord]] = {}
+    for record in latest.values():
+        by_config.setdefault(record.config_hash, []).append(record)
+    groups = sorted(by_config.values(), key=lambda group: group[0].method)
+    configs = [group[0].config for group in groups]
+    keys = dict.fromkeys(key for config in configs for key in config if key != "method")
+    varying = [k for k in keys if len({_setting(k, config.get(k)) for config in configs}) > 1]
 
     header = f"{'method':<14} {'runs':>4} {'A_T':>16} {'F_T':>16} {'peak storage':>12}"
-    print(header)
+    print(header + ("  settings" if varying else ""))
     print("-" * len(header))
-    for method in sorted(by_method):
-        group = by_method[method]
+    for group, config in zip(groups, configs):
         a = np.array([r.avg_accuracy[-1] for r in group])
         f = np.array([r.forgetting[-1] for r in group])
         storages = [max(r.teacher_bytes, *r.state_bytes_per_task) for r in group]
-        print(
-            f"{method:<14} {len(group):>4} "
+        settings = " ".join(_setting(key, config.get(key)) for key in varying)
+        row = (
+            f"{group[0].method:<14} {len(group):>4} "
             f"{a.mean():>8.2f} ± {a.std():<5.2f} "
             f"{f.mean():>8.2f} ± {f.std():<5.2f} "
             f"{_human_bytes(float(np.mean(storages))):>12}"
         )
-
-    curves_path = path.parent / "curves.csv"
-    with open(curves_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "t", "mean_A_t", "std_A_t", "mean_F_t", "std_F_t", "n_seeds"])
-        for method in sorted(by_method):
-            group = by_method[method]
-            T = max(r.T for r in group)
-            for t in range(1, T + 1):
-                a_vals = [r.avg_accuracy[t - 1] for r in group if r.T >= t]
-                f_vals = [r.forgetting[t - 1] for r in group if r.T >= t]
-                writer.writerow(
-                    [
-                        method,
-                        t,
-                        repr(float(np.mean(a_vals))),
-                        repr(float(np.std(a_vals))),
-                        repr(float(np.mean(f_vals))),
-                        repr(float(np.std(f_vals))),
-                        len(a_vals),
-                    ]
-                )
-    print(f"curves: {curves_path}")
+        print(f"{row}  {settings}" if settings else row)
     return 0
 
 
@@ -231,14 +147,18 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute the configured runs")
     p_run.add_argument("--config", required=True, help="YAML config path")
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run, grid=[])
 
-    p_sweep = sub.add_parser("sweep", help="run a K x L ablation grid")
+    p_sweep = sub.add_parser("sweep", help="execute the configured runs at every point of a grid")
     p_sweep.add_argument("--config", required=True, help="YAML config path")
     p_sweep.add_argument(
-        "--grid", required=True, nargs="+", metavar="AXIS=V1,V2", help="e.g. K=8,16,32,64 L=1,2,3"
+        "--grid",
+        required=True,
+        nargs="+",
+        metavar="KEY=V1,V2",
+        help="any config key, section.key inside a section; e.g. lambda=0.2,1 K=8,16 probe.lr=0.1",
     )
-    p_sweep.set_defaults(fn=cmd_sweep)
+    p_sweep.set_defaults(fn=cmd_run)
 
     p_report = sub.add_parser("report", help="summarize a results file")
     p_report.add_argument("--results", required=True, help="runs.jsonl path")

@@ -184,16 +184,28 @@ class ExperimentConfig:
             self._check_codes_fit(train_rows, f"task {task.task_id} of {self.data_path}")
         return tasks
 
-    def to_dict(self) -> dict:
-        d = {}
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
-            d[f.name] = list(value) if isinstance(value, tuple) else value
-        return d
+    def identity(self) -> dict:
+        """What tells one run's setting from another's: every setting by
+        YAML key but `seeds` and `results_dir`. A feature file adds the
+        digest of its bytes as `data.sha256`, so a file rewritten at the
+        same path is another setting."""
+        identity = {}
+        for name, key in _YAML_KEYS.items():
+            value = getattr(self, name)
+            if key not in ("seeds", "results_dir"):
+                identity[key] = list(value) if isinstance(value, tuple) else value
+        if self.data_source == "file":
+            with open(self.data_path, "rb") as fh:
+                identity["data.sha256"] = hashlib.file_digest(fh, "sha256").hexdigest()[:16]
+        return identity
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return identity_hash(self.identity())
+
+
+def identity_hash(identity: dict) -> str:
+    canonical = json.dumps(identity, sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 # YAML key -> ExperimentConfig field; a nested mapping is a section
@@ -279,8 +291,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a YAML config file; every failure is a ConfigError."""
+def load_config(path, point: dict | None = None) -> ExperimentConfig:
+    """Read a YAML config file; every failure is a ConfigError.
+
+    `point` maps YAML keys (`section.key` inside a section) to values laid
+    over the file's before it is checked, so a bad value is named by its key.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -288,6 +304,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path}: invalid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    for key, value in (point or {}).items():
+        section, dot, sub = key.partition(".")
+        if not dot:
+            raw[key] = value
+        elif isinstance(raw.setdefault(section, {}), dict):
+            raw[section][sub] = value
+        else:
+            raise ConfigError(f"{section}: expected a mapping of settings")
     return config_from_dict(raw)

@@ -28,13 +28,13 @@ regularizer with weight 0 replays the finetune trajectory bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
 from . import nn
-from .config import METHODS, ExperimentConfig
+from .config import METHODS, ExperimentConfig, identity_hash
 from .data import TaskDataset, validate_task_sequence
 from .errors import ConfigError, StateError
 from .objectives import (
@@ -126,11 +126,9 @@ class RunRecord:
 
     method: str
     T: int
-    K: int
-    L: int
-    lam: float
     seed: int
     config_hash: str
+    config: dict  # ExperimentConfig.identity() of the run
     accuracy: list[list[float]]
     avg_accuracy: list[float]
     forgetting: list[float]
@@ -142,7 +140,7 @@ class RunRecord:
     events: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {_JSON_KEYS.get(name, name): getattr(self, name) for name in _JSON_FIELDS}
+        return {name: getattr(self, name) for name in _JSON_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d) -> "RunRecord":
@@ -150,15 +148,13 @@ class RunRecord:
         that does not fit raises ValueError saying what is wrong."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        keys = {name: _JSON_KEYS.get(name, name) for name in _JSON_FIELDS}
-        missing = [key for key in keys.values() if key not in d]
+        missing = [name for name in _JSON_FIELDS if name not in d]
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
         for f in fields(cls):
-            key = keys.get(f.name)
-            if key is not None and not _fits(d[key], f.type):
-                raise ValueError(f"{key}: expected {f.type}, got {d[key]!r}")
-        record = cls(**{name: d[key] for name, key in keys.items()})
+            if f.name in _JSON_FIELDS and not _fits(d[f.name], f.type):
+                raise ValueError(f"{f.name}: expected {f.type}, got {d[f.name]!r}")
+        record = cls(**{name: d[name] for name in _JSON_FIELDS})
         if record.T < 1:
             raise ValueError(f"T: expected an integer >= 1, got {record.T!r}")
         for name in _PER_TASK_FIELDS:
@@ -181,10 +177,8 @@ class RunRecord:
                 raise StateError(f"state for task {task} built after training began")
 
 
-# every RunRecord field but the in-memory `events` goes to JSON, under its
-# own name or the key given here
+# every RunRecord field but the in-memory `events` goes to JSON
 _JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "events"]
-_JSON_KEYS = {"lam": "lambda"}
 # the fields declared as list[...] hold one entry per task
 _PER_TASK_FIELDS = [f.name for f in fields(RunRecord) if f.type.startswith("list[")]
 
@@ -193,7 +187,8 @@ def _fits(value, type_name: str) -> bool:
     """Whether a JSON value has the type a RunRecord field declares."""
     if type_name.startswith("list["):
         return isinstance(value, list) and all(_fits(v, type_name[5:-1]) for v in value)
-    return type(value) in {"str": (str,), "int": (int,), "float": (int, float)}[type_name]
+    kinds = {"str": (str,), "int": (int,), "float": (int, float), "dict": (dict,)}
+    return type(value) in kinds[type_name]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -241,6 +236,7 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     if len(tasks) != config.T:
         raise ConfigError(f"config.T={config.T} but {len(tasks)} tasks supplied")
     num_classes = int(max(t.labels.max() for t in tasks)) + 1
+    identity = config.identity()
     in_dim = tasks[0].feature_dim
 
     encoder = nn.init_network(
@@ -325,7 +321,9 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                     dfeats[0] = dfeats[0] + dfeats_pd
                     predictor = optimizer.step("predictor", predictor, pred_grads)
 
-                enc_grads = [nn.backward(encoder, c, d)[0] for c, d in zip(enc_caches, dfeats)]
+                enc_grads = [
+                    nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
+                ]
                 encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
                 head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
                 events.append(("train_step", t))
@@ -351,11 +349,9 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     record = RunRecord(
         method=config.method,
         T=config.T,
-        K=config.K,
-        L=config.L,
-        lam=config.lam,
         seed=seed,
-        config_hash=config.config_hash(),
+        config_hash=identity_hash(identity),
+        config=identity,
         accuracy=matrix.rows(),
         avg_accuracy=avg_acc,
         forgetting=forgetting,
@@ -368,20 +364,3 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     )
     record.assert_event_order()
     return record
-
-
-def sweep(config, K_values, L_values) -> list[RunRecord]:
-    """One run per (K, L, seed) grid point, tasks rebuilt per seed."""
-    K_values = list(K_values)
-    L_values = list(L_values)
-    if not K_values or not L_values:
-        raise ConfigError("sweep grid is empty")
-    records = []
-    for K in K_values:
-        for L in L_values:
-            point = dc_replace(config, K=K, L=L)
-            point.validate()
-            for seed in point.seeds:
-                tasks = point.tasks_for_seed(seed)
-                records.append(run_sequence(point, tasks, seed))
-    return records

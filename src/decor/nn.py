@@ -148,11 +148,12 @@ def forward_cached(net: Network, batch: np.ndarray):
     return h, caches
 
 
-def backward(net: Network, caches, grad_output: np.ndarray):
+def backward(net: Network, caches, grad_output: np.ndarray, input_grad: bool = True):
     """Backpropagate dLoss/dOutput through the cached forward pass.
 
-    Returns (GradientSet, grad_input). Loss kernels already fold in any 1/N
-    batch averaging, so no extra scaling happens here.
+    Returns (GradientSet, grad_input); grad_input is None when `input_grad`
+    is false, which skips the first layer's `g @ W`. Loss kernels already
+    fold in any 1/N batch averaging, so no extra scaling happens here.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != caches[-1][1].shape:
@@ -168,6 +169,8 @@ def backward(net: Network, caches, grad_output: np.ndarray):
             g = g * (z > 0.0)
         weight_grads[i] = g.T @ h_in
         bias_grads[i] = g.sum(axis=0)
+        if i == 0 and not input_grad:
+            return GradientSet(weight_grads, bias_grads), None
         g = g @ layer.weights
     return GradientSet(weight_grads, bias_grads), g
 

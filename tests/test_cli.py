@@ -1,10 +1,11 @@
-import csv
 import json
 
 import pytest
 import yaml
 
 from decor import cli
+from decor.config import SCHEMA, ExperimentConfig, identity_hash, load_config
+from decor.data import SyntheticConfig, generate_synthetic_tasks, save_feature_file
 from decor.harness import AccuracyMatrix
 from decor.regularizer import DecorState
 
@@ -18,15 +19,14 @@ TINY = {
 }
 
 
-def _record(method, state_bytes, teacher_bytes):
+def _record(method, state_bytes, teacher_bytes, seed=0, **settings):
+    config = {"method": method, "K": 32, "L": 2, "lambda": 0.2, **settings}
     return {
         "method": method,
         "T": 3,
-        "K": 32,
-        "L": 2,
-        "lambda": 0.2,
-        "seed": 0,
-        "config_hash": "0" * 16,
+        "seed": seed,
+        "config_hash": identity_hash(config),
+        "config": config,
         "accuracy": [[100.0], [90.0, 100.0], [80.0, 90.0, 100.0]],
         "avg_accuracy": [100.0, 95.0, 90.0],
         "forgetting": [0.0, 10.0, 15.0],
@@ -56,9 +56,9 @@ def test_run_then_report(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--config", config]) == 0
     runs = tmp_path / "results" / "runs.jsonl"
     (record,) = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
-    assert record["method"] == "decor" and "lambda" in record
+    assert record["method"] == "decor" and record["config"]["lambda"] == 0.2
     assert cli.main(["report", "--results", str(runs)]) == 0
-    assert (tmp_path / "results" / "curves.csv").exists()
+    assert [path.name for path in (tmp_path / "results").iterdir()] == ["runs.jsonl"]
 
 
 def test_report_storage_is_the_peak_per_run(tmp_path, capsys):
@@ -129,6 +129,7 @@ def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
             json.dumps({**_record("lwf", [0, 0, 0], 0), "method": ["decor"]}),
             "method: expected str, got ['decor']",
         ),
+        (json.dumps({**_record("lwf", [0, 0, 0], 0), "config": [1]}), "config: expected dict, got [1]"),
     ]
     runs = tmp_path / "runs.jsonl"
     for line, reason in cases:
@@ -137,16 +138,119 @@ def test_report_on_a_record_missing_a_key_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {runs}: line 3: {reason}\n"
 
 
+def _report_rows(capsys, runs):
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(runs)]) == 0
+    return [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+
+
 def test_sweep_runs_every_grid_point(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
     config = _write_config(tmp_path, {**TINY, "method": "decor"})
-    assert cli.main(["sweep", "--config", config, "--grid", "K=4,8", "L=1,2"]) == 0
-    runs = (tmp_path / "results" / "runs.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(runs) == 4
-    with open(tmp_path / "results" / "sweep_summary.csv", encoding="utf-8") as fh:
-        summary = list(csv.DictReader(fh))
-    assert sorted((row["K"], row["L"]) for row in summary) == [
-        ("4", "1"), ("4", "2"), ("8", "1"), ("8", "2")
+    assert cli.main(["sweep", "--config", config, "--grid", "lambda=0.2,1", "K=4,8"]) == 0
+    runs = tmp_path / "results" / "runs.jsonl"
+    records = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
+    assert [(r["config"]["lambda"], r["config"]["K"]) for r in records] == [
+        (0.2, 4), (0.2, 8), (1.0, 4), (1.0, 8)
     ]
-    for grid in (["K=1", "L=1"], ["K=4", "L=1", "Q=3"]):
-        assert cli.main(["sweep", "--config", config, "--grid", *grid]) == 2
+    assert [path.name for path in (tmp_path / "results").iterdir()] == ["runs.jsonl"]
+    rows = _report_rows(capsys, runs)
+    assert [(row[0], row[1], row[-2:]) for row in rows] == [
+        ("decor", "1", ["K=4", "lambda=0.2"]),
+        ("decor", "1", ["K=8", "lambda=0.2"]),
+        ("decor", "1", ["K=4", "lambda=1.0"]),
+        ("decor", "1", ["K=8", "lambda=1.0"]),
+    ]
+    # a rerun of one point replaces its record in the report
+    assert cli.main(["sweep", "--config", config, "--grid", "K=8", "lambda=1"]) == 0
+    assert [row[:2] for row in _report_rows(capsys, runs)] == [["decor", "1"]] * 4
+
+
+@pytest.mark.parametrize(
+    "grid, key",
+    [
+        (["Q=3"], "Q"),
+        (["K=1"], "K"),
+        (["probe.lr=-1"], "probe.lr"),
+        (["K="], "K"),
+        (["seeds=1"], "seeds"),
+        (["probe=3"], "probe"),
+        (["K=4", "K=8"], "K"),
+        (["K=[4"], "K"),
+    ],
+)
+def test_a_bad_grid_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, grid, key):
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    config = _write_config(tmp_path, TINY)
+    assert cli.main(["sweep", "--config", config, "--grid", *grid]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_a_bad_last_grid_point_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    monkeypatch.setattr(cli, "run_sequence", lambda *args: pytest.fail("a run started"))
+    config = _write_config(tmp_path, {**TINY, "method": "decor"})
+    assert cli.main(["sweep", "--config", config, "--grid", "lambda=0.2,-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: lambda: ")
+    assert not (tmp_path / "results" / "runs.jsonl").exists()
+
+
+def _scalar_keys():
+    for key, entry in SCHEMA.items():
+        for sub, name in entry.items() if isinstance(entry, dict) else [(None, entry)]:
+            if not isinstance(getattr(ExperimentConfig(), name), tuple):
+                yield key if sub is None else f"{key}.{sub}", name
+
+
+@pytest.mark.parametrize("key, name", list(_scalar_keys()))
+def test_every_scalar_key_is_a_grid_axis(tmp_path, key, name):
+    default = getattr(ExperimentConfig(), name)
+    # JSON scalars are YAML too
+    (point,) = cli._grid_points([f"{key}={json.dumps(default)}"])
+    assert point == {key: default}
+    assert load_config(_write_config(tmp_path, {}), point) == ExperimentConfig()
+
+
+def test_a_finished_run_is_kept_when_a_later_one_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    real = cli.run_sequence
+
+    def fail_on_seed_1(config, tasks, seed):
+        if seed == 1:
+            raise RuntimeError("seed 1 failed")
+        return real(config, tasks, seed)
+
+    monkeypatch.setattr(cli, "run_sequence", fail_on_seed_1)
+    assert cli.main(["run", "--config", _write_config(tmp_path, {**TINY, "seeds": [0, 1]})]) == 1
+    assert capsys.readouterr().err == "error: seed 1 failed\n"
+    lines = (tmp_path / "results" / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["seed"] for line in lines] == [0]
+
+
+def test_report_keeps_the_last_record_per_config_and_seed(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    records = [
+        _record("decor", [0, 213, 213], 0, seed=0),
+        _record("decor", [0, 213, 213], 0, seed=1),
+        _record("decor", [0, 213, 213], 0, seed=0, **{"lambda": 1.0}),
+        {**_record("decor", [0, 213, 213], 0, seed=0, **{"lambda": 1.0}), "avg_accuracy": [100, 95, 50]},
+    ]
+    runs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rows = _report_rows(capsys, runs)
+    assert [(row[0], row[1], row[2], row[-1]) for row in rows] == [
+        ("decor", "2", "90.00", "lambda=0.2"),
+        ("decor", "1", "50.00", "lambda=1.0"),
+    ]
+
+
+def test_a_rewritten_feature_file_is_another_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    data = tmp_path / "feats.csv"
+    config = _write_config(tmp_path, {**TINY, "data": {"source": "file", "path": str(data)}})
+    for seed in (0, 1):
+        synthetic = SyntheticConfig(num_classes=4, samples_per_class=40, seed=seed)
+        save_feature_file(generate_synthetic_tasks(synthetic, T=2), data)
+        assert cli.main(["run", "--config", config]) == 0
+    rows = _report_rows(capsys, tmp_path / "results" / "runs.jsonl")
+    assert [row[:2] for row in rows] == [["finetune", "1"]] * 2
+    assert all(row[-1].startswith("data.sha256=") for row in rows)

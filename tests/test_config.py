@@ -120,3 +120,10 @@ def test_k_above_a_file_task_names_the_task(tmp_path):
     with pytest.raises(ConfigError, match=r"^K: .*task 2 of .*feats.csv has 16$"):
         config.tasks_for_seed(0)
     assert len(config_from_dict({**body, "K": 16}).tasks_for_seed(0)) == 2
+
+
+def test_config_hash_ignores_seeds_and_results_dir_only():
+    base = config_from_dict({}).config_hash()
+    assert config_from_dict({"seeds": [7], "results_dir": "elsewhere"}).config_hash() == base
+    assert config_from_dict({"lambda": 0.5}).config_hash() != base
+    assert config_from_dict({"probe": {"lr": 0.1}}).config_hash() != base

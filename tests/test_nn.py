@@ -262,3 +262,16 @@ class TestHelpers:
         g = nn.GradientSet([np.ones((2, 2))], [np.ones(2)])
         combined = nn.add_grads(zero, g, scale=0.25)
         assert np.array_equal(combined.weight_grads[0], np.full((2, 2), 0.25))
+
+
+@pytest.mark.parametrize("sizes", [[5, 3], [6, 8, 7, 4]])
+def test_backward_without_input_grad_gives_the_same_gradients(sizes):
+    net = nn.init_network(sizes, seed=2)
+    x = np.random.default_rng(3).standard_normal((9, sizes[0]))
+    out, caches = nn.forward_cached(net, x)
+    d = np.random.default_rng(4).standard_normal(out.shape)
+    full, dx = nn.backward(net, caches, d)
+    grads, none = nn.backward(net, caches, d, input_grad=False)
+    assert dx.shape == x.shape and none is None
+    for a, b in zip(full.weight_grads + full.bias_grads, grads.weight_grads + grads.bias_grads):
+        assert a.tobytes() == b.tobytes()
