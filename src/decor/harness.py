@@ -22,7 +22,9 @@ A_t and the mean maximum forgetting F_t are computed:
 
 One run is deterministic for any core count given (config, seed):
 every random choice flows through a named sub-seed stream, so enabling the
-regularizer with weight 0 replays the finetune trajectory bit for bit.
+regularizer with weight 0 replays the finetune trajectory bit for bit. A
+training step that goes non-finite raises a NumericError naming the method,
+seed, task, epoch and step.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import nn
 from .config import METHODS, ExperimentConfig, identity_hash
 from .data import TaskDataset, validate_task_sequence
-from .errors import ConfigError, StateError
+from .errors import ConfigError, NumericError, StateError
 from .objectives import (
     TeacherSnapshot,
     augment_two_views,
@@ -287,46 +289,54 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
         storage_bits_per_task.append(0 if state is None else storage_bits(len(state), state.K))
         state_bytes_per_task.append(0 if state is None else len(serialize_state(state)))
 
-        for epoch in range(config.epochs_per_task):
-            shuffle_rng = np.random.default_rng(sub_seed(seed, "shuffle", t, epoch))
-            for b, rows in enumerate(_batches(n, config.batch_size, shuffle_rng)):
-                if contrastive and len(rows) < 2:
-                    continue  # a lone pair has no negatives
-                aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
-                x = train_x[rows]
-                if contrastive:
-                    views = augment_two_views(x, aug_cfg)
-                else:
-                    views = (augment_view(x, aug_cfg),)
-                feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
-                outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
-                if contrastive:
-                    douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
-                else:
-                    douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
+        # numpy's overflow warnings are off: a blow-up still ends at the step's
+        # finiteness check (the logits' or the new parameters'), re-raised
+        # naming the step
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for epoch in range(config.epochs_per_task):
+                    shuffle_rng = np.random.default_rng(sub_seed(seed, "shuffle", t, epoch))
+                    for b, rows in enumerate(_batches(n, config.batch_size, shuffle_rng)):
+                        if contrastive and len(rows) < 2:
+                            continue  # a lone pair has no negatives
+                        aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
+                        x = train_x[rows]
+                        if contrastive:
+                            views = augment_two_views(x, aug_cfg)
+                        else:
+                            views = (augment_view(x, aug_cfg),)
+                        feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
+                        outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
+                        if contrastive:
+                            douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
+                        else:
+                            douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
 
-                # regularizer hooks, both on view 0: LwF on the head output,
-                # decor on the encoder output
-                if teacher is not None:
-                    _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
-                    douts[0] = douts[0] + config.lwf_weight * dkl
-                head_grads, dfeats = zip(
-                    *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
-                )
-                dfeats = list(dfeats)
-                if state is not None and config.lam != 0.0:
-                    plogits, p_cache = nn.forward_cached(predictor, feats[0])
-                    _, dplogits = distill_loss(plogits, state, train_ids[rows])
-                    pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
-                    dfeats[0] = dfeats[0] + dfeats_pd
-                    predictor = optimizer.step("predictor", predictor, pred_grads)
+                        # regularizer hooks, both on view 0: LwF on the head output,
+                        # decor on the encoder output
+                        if teacher is not None:
+                            _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
+                            douts[0] = douts[0] + config.lwf_weight * dkl
+                        head_grads, dfeats = zip(
+                            *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
+                        )
+                        dfeats = list(dfeats)
+                        if state is not None and config.lam != 0.0:
+                            plogits, p_cache = nn.forward_cached(predictor, feats[0])
+                            _, dplogits = distill_loss(plogits, state, train_ids[rows])
+                            pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
+                            dfeats[0] = dfeats[0] + dfeats_pd
+                            predictor = optimizer.step("predictor", predictor, pred_grads)
 
-                enc_grads = [
-                    nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
-                ]
-                encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
-                head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
-                events.append(("train_step", t))
+                        enc_grads = [
+                            nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
+                        ]
+                        encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
+                        head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
+                        events.append(("train_step", t))
+        except NumericError as exc:
+            where = f"{config.method} seed {seed} task {t} epoch {epoch + 1} step {b + 1}"
+            raise NumericError(f"{where}: {exc}") from exc
 
         # task boundary: probe every seen task, snapshot/cluster for the next
         probe_cfg = config.probe_config(sub_seed(seed, "probe", t))

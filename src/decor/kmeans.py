@@ -28,15 +28,33 @@ bits that did not change, so it is bitwise the recomputed one:
 - a mean reduces its members in ascending row order: a cluster with the same
   members keeps it. A repaired cluster was empty, so it gains members first.
 
+k-means++ seeds all of a strand's restarts together, each with its own
+generator drawn in the order a lone restart draws. After each new center
+one GEMM scores every (restart, row) pair as ||x||^2 - 2x.c + ||c||^2. The
+score and the subtract-square-sum kernel each lie within g(D+2) *
+(||x|| + ||c||)^2 of the exact squared distance (see `_nearest`), in
+whatever order either was summed, so they differ by under an eighth of
+`_nearest`'s bound. Where score - bound exceeds the pair's current d2, the
+kernel's distance does too and np.minimum would keep d2 bitwise: only the
+other pairs, non-finite scores included, are recomputed with the kernel.
+Totals and CDFs are row operations on an (R, N) array, which sum and
+accumulate each contiguous row as the 1-D calls do.
+
 Restarts run in strands: the calling thread plus a thread per further CPU
 the process may use, at most one per restart and per _ROWS_PER_STRAND rows.
 A strand holds the interpreter lock a fixed time per numpy call and frees it
 for a time that grows with the rows, so on few rows strands queue for the
-lock (2 cores: 320 rows ran 1.3x slower on two strands, 1,200 rows 1.5x faster).
-Strand s runs restarts s, s + S, ... in arrays the caller allocated and
-stops at its first error. Results are kept by restart index and the winner
-is picked in restart order, so core count and finishing order change
-nothing; the earliest failing restart's error is raised, as in a serial loop.
+lock (2 cores: 320 rows ran 1.3x slower on two strands, 1,200 rows 1.5x faster
+with restarts seeded one by one, about 1.06x faster with seeding batched).
+Strand s seeds restarts s, s + S, ... in one pass, runs Lloyd on each in
+turn and stops at its first error; a seeding error counts as restart s's.
+The calling thread allocates each strand's work arrays: N x D rows, K x N
+scores, and R x N seeding arrays for the strand's own R restarts, so the
+seeding arrays of all strands together do not grow with the CPU count.
+Seeding gathers its candidate pairs at most N at a time into the N x D
+rows. Results are kept by restart index and the winner is picked in
+restart order, so core count and finishing order change nothing; the
+earliest failing restart's error is raised, as in a serial loop.
 """
 
 from __future__ import annotations
@@ -84,37 +102,65 @@ def _sq_dists(features: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _Work:
-    """One strand's N x D and K x N work arrays. `kmeans_fit` makes them in
-    the calling thread, so a worker's allocator arena never holds them."""
+    """One strand's work arrays: N x D rows, K x N scores for Lloyd and R x N
+    seeding arrays for its R restarts. `kmeans_fit` makes them in the calling
+    thread, so a worker's allocator arena never holds them."""
 
-    def __init__(self, n: int, d: int, k: int):
+    def __init__(self, n: int, d: int, k: int, restarts: int):
         self.rows, self.rows2 = np.empty((n, d)), np.empty((n, d))
         self.scores, self.fresh, self.code_sq = np.empty((k, n)), np.empty((k, n)), np.empty(k)
         self.hits = np.empty((k, n), dtype=bool)
-
-    def sq_to(self, features: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # ((features - c) ** 2).sum(axis=1), summed over the same layout
-        np.subtract(features, c, out=self.rows)
-        return np.square(self.rows, out=self.rows).sum(axis=1)
+        self.d2, self.cdf, self.screen = (np.empty((restarts, n)) for _ in range(3))
+        self.mask = np.empty((restarts, n), dtype=bool)
 
 
-def _kmeanspp_init(features: np.ndarray, K: int, rng: np.random.Generator, work: _Work) -> np.ndarray:
-    n = features.shape[0]
-    centers = np.empty((K, features.shape[1]), dtype=np.float64)
-    centers[0] = features[rng.integers(n)]
-    d2 = work.sq_to(features, centers[0])
+def _kmeanspp_batch(features: np.ndarray, K: int, rngs: list, work: _Work) -> np.ndarray:
+    """k-means++ initial centers of one restart per generator, (len(rngs), K, D).
+    Bitwise the centers and generator states of seeding each restart alone with
+    `d2 = np.minimum(d2, ((features - c) ** 2).sum(axis=1))` after every center."""
+    (n, D), R = features.shape, len(rngs)
+    d2, cdf, screen, mask = work.d2[:R], work.cdf[:R], work.screen[:R], work.mask[:R]
+    flat = d2.reshape(-1)
+    sq = np.einsum("nd,nd->n", features, features)
+    norms = np.sqrt(sq)
+    factor = 8 * (D + 4) * np.finfo(np.float64).eps  # `_nearest`'s bound
+    centers = np.empty((R, K, D))
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers[:, 0] = features[idx]
+    d2.fill(np.inf)  # so the first screen recomputes every pair
     for k in range(1, K):
-        total = d2.sum()
-        if total <= 0.0:
-            # remaining points coincide with chosen centers
-            idx = int(rng.integers(n))
-        else:
-            # what rng.choice(n, p=d2 / total) does for one draw, less its checks of p
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        centers[k] = features[idx]
-        np.minimum(d2, work.sq_to(features, centers[k]), out=d2)
+        new = centers[:, k - 1]
+        # screen: the score s = ||x||^2 - 2x.c + ||c||^2 is within bound / 8 of
+        # the kernel's sum. Where s - bound > d2 the kernel's distance exceeds
+        # d2 too, so np.minimum keeps d2; every other pair is recomputed.
+        np.matmul(new * -2.0, features.T, out=screen)
+        screen += sq
+        screen += sq[idx, None]
+        np.add(norms, norms[idx, None], out=cdf)
+        np.square(cdf, out=cdf)
+        cdf *= factor
+        screen -= cdf
+        np.logical_not(np.greater(screen, d2, out=mask), out=mask)
+        pairs = np.flatnonzero(mask)
+        for start in range(0, pairs.size, n):  # at most N rows at a time
+            chunk = pairs[start : start + n]
+            r, i = np.divmod(chunk, n)
+            rows = np.take(features, i, axis=0, out=work.rows[: chunk.size], mode="clip")
+            rows -= np.take(new, r, axis=0, out=work.rows2[: chunk.size], mode="clip")
+            flat[chunk] = np.minimum(flat[chunk], np.square(rows, out=rows).sum(axis=1))
+        # draws: what rng.choice(n, p=d2 / total) does for one draw, less its
+        # checks of p; a restart whose rows all coincide with centers draws uniformly
+        totals = d2.sum(axis=1)
+        live = np.flatnonzero(~(totals <= 0.0))
+        part = np.take(d2, live, axis=0, out=screen[: live.size], mode="clip")
+        part /= totals[live, None]
+        part = np.cumsum(part, axis=1, out=cdf[: live.size])
+        part /= part[:, -1:]
+        for row, r in enumerate(live):
+            idx[r] = part[row].searchsorted(rngs[r].random(), side="right")
+        for r in np.flatnonzero(totals <= 0.0):
+            idx[r] = rngs[r].integers(n)
+        centers[:, k] = features[idx]
     return centers
 
 
@@ -157,7 +203,7 @@ def _lloyd(features: np.ndarray, centers: np.ndarray, max_iters: int, tol: float
     objective, history). The objective is checked to be non-increasing after
     every assignment step."""
     (n, D), K = features.shape, centers.shape[0]
-    work = work or _Work(n, D, K)
+    work = work or _Work(n, D, K, 0)
     centers = centers.copy()
     row_norms = np.sqrt(np.einsum("nd,nd->n", features, features))
     stale, labels, nearest = np.ones(K, dtype=bool), np.full(n, -1), np.empty(n)
@@ -179,13 +225,20 @@ def _lloyd(features: np.ndarray, centers: np.ndarray, max_iters: int, tol: float
         # means update: each cluster's members are one contiguous block of the
         # rows sorted stably by label, summed by add.reduce as ndarray.mean sums
         # them (np.add.at is not: for D == 1 it sums in row order, mean
-        # pairwise). Only clusters that gained or lost a row are reduced again.
+        # pairwise). Only clusters that gained or lost a row are gathered and
+        # reduced again; `previous` is -1 on the first step.
         before = centers.copy()
         counts = np.bincount(labels, minlength=K)
-        starts = np.cumsum(counts) - counts
-        grouped = np.take(features, np.argsort(labels, kind="stable"), axis=0, out=work.rows, mode="clip")
         changed = labels != previous
-        touched = np.isin(np.arange(K), np.concatenate((labels[changed], previous[changed])))
+        touched = np.zeros(K, dtype=bool)
+        touched[labels[changed]] = True
+        left = previous[changed]
+        touched[left[left >= 0]] = True
+        members = np.flatnonzero(touched[labels])
+        members = members[np.argsort(labels[members], kind="stable")]
+        grouped = np.take(features, members, axis=0, out=work.rows[: members.size], mode="clip")
+        gathered = np.where(touched, counts, 0)
+        starts = np.cumsum(gathered) - gathered
         filled = np.flatnonzero(touched & (counts > 0))
         for k in filled:
             centers[k] = np.add.reduce(grouped[starts[k] : starts[k] + counts[k]], axis=0)
@@ -235,17 +288,19 @@ def kmeans_fit(
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
 
     strands = min(len(os.sched_getaffinity(0)), n_restarts, max(1, x.shape[0] // _ROWS_PER_STRAND))
-    works = [_Work(*x.shape, K) for _ in range(strands)]
+    restarts = [range(s, n_restarts, strands) for s in range(strands)]
+    works = [_Work(*x.shape, K, len(rs)) for rs in restarts]
     results, failures = [None] * n_restarts, {}  # by restart index
 
     def strand(s: int) -> None:
-        for r in range(s, n_restarts, strands):
-            try:
-                rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
-                results[r] = _lloyd(x, _kmeanspp_init(x, K, rng, works[s]), max_iters, tol, works[s])
-            except Exception as exc:
-                failures[r] = exc
-                return
+        r = s  # a seeding error counts as the strand's first restart's
+        try:
+            rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), q])) for q in restarts[s]]
+            inits = _kmeanspp_batch(x, K, rngs, works[s])
+            for r, init in zip(restarts[s], inits):
+                results[r] = _lloyd(x, init, max_iters, tol, works[s])
+        except Exception as exc:
+            failures[r] = exc
 
     threads = [threading.Thread(target=strand, args=(s,)) for s in range(1, strands)]
     try:

@@ -61,6 +61,15 @@ def test_run_then_report(tmp_path, monkeypatch, capsys):
     assert [path.name for path in (tmp_path / "results").iterdir()] == ["runs.jsonl"]
 
 
+def test_a_diverging_run_exits_1_naming_where_it_diverged(tmp_path, monkeypatch, capsys):
+    # lambda 5 at momentum 0.9 drives the predictor's logits to overflow in
+    # task 4's 9th step; at T=2 the run ends before that
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    config = _write_config(tmp_path, {"method": "decor", "lambda": 5, "seeds": [0]})
+    assert cli.main(["run", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: decor seed 0 task 4 epoch 1 step 9: non-finite logits\n"
+
+
 def test_report_storage_is_the_peak_per_run(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     # a record written before `probe_mode` was dropped still loads

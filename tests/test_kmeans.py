@@ -2,13 +2,14 @@ import hashlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from decor import kmeans
 from decor.errors import ConfigError, NumericError, StateError
-from decor.kmeans import Codebook, IndexAssignment, _kmeanspp_init, _lloyd, _Work, kmeans_fit
+from decor.kmeans import Codebook, IndexAssignment, _kmeanspp_batch, _lloyd, _Work, kmeans_fit
 from oracles import (
     brute_force_kmeans_optimum,
     brute_force_nearest,
@@ -295,9 +296,46 @@ class TestSeeding:
         x = make(np.random.default_rng(seed))
         K = min(len(x), 8)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        centers = _kmeanspp_init(x, K, ours, _Work(*x.shape, K))
+        centers = _kmeanspp_batch(x, K, [ours], _Work(*x.shape, K, 1))[0]
         assert _bits(centers) == _bits(reference_kmeanspp_init(x, K, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("i", range(60))
+    def test_batch_is_bitwise_each_restart_alone(self, i):
+        x, K, R = _seeding_case(i)
+        ours = [np.random.default_rng([i, r]) for r in range(R)]
+        theirs = [np.random.default_rng([i, r]) for r in range(R)]
+        centers = _kmeanspp_batch(x, K, ours, _Work(*x.shape, K, R + i % 3))
+        assert centers.shape == (R, K, x.shape[1])
+        for r in range(R):
+            assert _bits(centers[r]) == _bits(reference_kmeanspp_init(x, K, theirs[r]))
+            assert ours[r].bit_generator.state == theirs[r].bit_generator.state
+
+
+def _seeding_case(i: int):
+    """(x, K, restart count) of seeding case i: D from 1 to 64, 1 to 20 restarts,
+    K from 1 to N, and rows with many equal or near-equal distances."""
+    rng = np.random.default_rng(3000 + i)
+    D = (1, 64)[i % 2] if i < 12 else int(rng.integers(1, 65))
+    R, n = int(rng.integers(1, 21)), int(rng.integers(2, 70))
+    kind = i % 6
+    if kind == 0:
+        x = rng.standard_normal((n, D)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == 1:  # duplicate rows
+        x = np.repeat(rng.standard_normal((int(rng.integers(1, 8)), D)), int(rng.integers(2, 6)), axis=0)
+        x = x[rng.permutation(len(x))]
+    elif kind == 2:  # all rows equal: every total after the first center is 0
+        x = np.full((n, D), rng.standard_normal())
+    elif kind == 3:  # an exact lattice at 1e8: GEMM scores cancel, many exact ties
+        x = 1e8 + rng.integers(-2, 5, size=(n, D)) * 0.5
+    elif kind == 4:  # fewer rows than restarts
+        R = int(rng.integers(3, 21))
+        x = rng.standard_normal((int(rng.integers(1, R)), D))
+    else:  # tight blobs far from the origin
+        centers = rng.uniform(-10, 10, size=(4, D)) + 1e4
+        x = centers[rng.integers(4, size=n)] + 1e-3 * rng.standard_normal((n, D))
+    K = [1, len(x), int(rng.integers(1, len(x) + 1))][i // 6 % 3]
+    return x, K, R
 
 
 def _fuzz_case(i: int):
@@ -434,14 +472,15 @@ class TestStrands:
     def test_earliest_failing_restart_wins_not_the_first_to_fail(self, cpus, monkeypatch):
         set_cpus, _ = cpus
         set_cpus(4)
-        real_init, real_lloyd = kmeans._kmeanspp_init, kmeans._lloyd
+        real_batch, real_lloyd = kmeans._kmeanspp_batch, kmeans._lloyd
         local, six_failed = threading.local(), threading.Event()
 
-        def init(x, K, rng, work):
-            local.restart = _restart_of(rng)
-            return real_init(x, K, rng, work)
+        def batch(x, K, rngs, work):  # the strand then runs _lloyd on these restarts in order
+            local.restarts = [_restart_of(rng) for rng in rngs]
+            return real_batch(x, K, rngs, work)
 
         def lloyd(*args):
+            local.restart = local.restarts.pop(0)
             if local.restart == 3:  # fails only after restart 6 has
                 assert six_failed.wait(30)
             elif local.restart == 6:
@@ -450,7 +489,7 @@ class TestStrands:
                 raise StateError(f"objective increased: restart {local.restart}")
             return real_lloyd(*args)
 
-        monkeypatch.setattr(kmeans, "_kmeanspp_init", init)
+        monkeypatch.setattr(kmeans, "_kmeanspp_batch", batch)
         monkeypatch.setattr(kmeans, "_lloyd", lloyd)
         error, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
         assert str(error) == "objective increased: restart 3" and not leftover
@@ -464,14 +503,15 @@ class TestStrands:
         assert runs[0][2] == runs[1][2] and _bits(runs[0][0]) != _bits(runs[1][0])
         set_cpus, _ = cpus
         set_cpus(4)
-        real_init, real_lloyd = kmeans._kmeanspp_init, kmeans._lloyd
+        real_batch, real_lloyd = kmeans._kmeanspp_batch, kmeans._lloyd
         local, lock, done, others_done = threading.local(), threading.Lock(), [], threading.Event()
 
-        def init(x, K, rng, work):
-            local.restart = _restart_of(rng)
-            return real_init(x, K, rng, work)
+        def batch(x, K, rngs, work):  # the strand then runs _lloyd on these restarts in order
+            local.restarts = [_restart_of(rng) for rng in rngs]
+            return real_batch(x, K, rngs, work)
 
         def lloyd(*args):
+            local.restart = local.restarts.pop(0)
             if local.restart == 0:
                 assert others_done.wait(30)
             result = real_lloyd(*args)
@@ -481,7 +521,7 @@ class TestStrands:
                     others_done.set()
             return result
 
-        monkeypatch.setattr(kmeans, "_kmeanspp_init", init)
+        monkeypatch.setattr(kmeans, "_kmeanspp_batch", batch)
         monkeypatch.setattr(kmeans, "_lloyd", lloyd)
         bits, leftover = _in_thread(lambda: _fit_bits(x, 2, seed, n_restarts=4))
         assert done[-1] == 0 and not leftover
@@ -517,3 +557,18 @@ class TestStrands:
         seen = set().union(*(modules.get(t, set()) for t in workers))
         assert "decor.kmeans" in seen
         assert {m for m in seen if m and m.split(".")[0] == "decor"} == {"decor.kmeans"}
+
+
+def test_a_fit_peaks_under_twelve_times_its_feature_bytes(cpus):
+    # seeding gathers its candidate (restart, row) pairs at most N at a time;
+    # gathering them all at once peaks near 28x at this size
+    set_cpus, _ = cpus
+    set_cpus(1)
+    x = np.random.default_rng(6).standard_normal((1200, 64))
+    tracemalloc.start()
+    try:
+        kmeans_fit(x, 64, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * x.nbytes
