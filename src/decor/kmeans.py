@@ -28,9 +28,8 @@ bits that did not change, so it is bitwise the recomputed one:
 - a mean reduces its members in ascending row order: a cluster with the same
   members keeps it. A repaired cluster was empty, so it gains members first.
 
-k-means++ seeds all of a strand's restarts together, each with its own
-generator drawn in the order a lone restart draws. After each new center
-one GEMM scores every (restart, row) pair as ||x||^2 - 2x.c + ||c||^2. The
+k-means++ seeds all restarts together, each with its own generator drawn
+in the order a lone restart draws. After each new center one GEMM scores every (restart, row) pair as ||x||^2 - 2x.c + ||c||^2. The
 score and the subtract-square-sum kernel each lie within g(D+2) *
 (||x|| + ||c||)^2 of the exact squared distance (see `_nearest`), in
 whatever order either was summed, so they differ by under an eighth of
@@ -40,34 +39,21 @@ other pairs, non-finite scores included, are recomputed with the kernel.
 Totals and CDFs are row operations on an (R, N) array, which sum and
 accumulate each contiguous row as the 1-D calls do.
 
-Restarts run in strands: the calling thread plus a thread per further CPU
-the process may use, at most one per restart and per _ROWS_PER_STRAND rows.
-A strand holds the interpreter lock a fixed time per numpy call and frees it
-for a time that grows with the rows, so on few rows strands queue for the
-lock (2 cores: 320 rows ran 1.3x slower on two strands, 1,200 rows 1.5x faster
-with restarts seeded one by one, about 1.06x faster with seeding batched).
-Strand s seeds restarts s, s + S, ... in one pass, runs Lloyd on each in
-turn and stops at its first error; a seeding error counts as restart s's.
-The calling thread allocates each strand's work arrays: N x D rows, K x N
-scores, and R x N seeding arrays for the strand's own R restarts, so the
-seeding arrays of all strands together do not grow with the CPU count.
-Seeding gathers its candidate pairs at most N at a time into the N x D
-rows. Results are kept by restart index and the winner is picked in
-restart order, so core count and finishing order change nothing; the
-earliest failing restart's error is raised, as in a serial loop.
+`kmeans_fit` seeds its restarts in one batch, then runs Lloyd on each in
+turn in the calling thread. The lowest objective wins, ties going to the
+earliest restart, and the first failing restart's error is raised. One set
+of work arrays serves the whole fit: N x D rows, K x N scores, and R x N
+seeding arrays for the R restarts. Seeding gathers its candidate pairs at
+most N at a time into the N x D rows.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
-
-_ROWS_PER_STRAND = 400
 
 
 @dataclass
@@ -102,9 +88,8 @@ def _sq_dists(features: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _Work:
-    """One strand's work arrays: N x D rows, K x N scores for Lloyd and R x N
-    seeding arrays for its R restarts. `kmeans_fit` makes them in the calling
-    thread, so a worker's allocator arena never holds them."""
+    """A fit's work arrays: N x D rows, K x N scores for Lloyd and R x N
+    seeding arrays for up to R restarts."""
 
     def __init__(self, n: int, d: int, k: int, restarts: int):
         self.rows, self.rows2 = np.empty((n, d)), np.empty((n, d))
@@ -186,8 +171,10 @@ def _nearest(features, row_norms, centers, stale, labels, nearest, work: _Work) 
     # (ties, non-finite scores) is recomputed with the kernel, lowest index first.
     bound = 8 * (D + 4) * np.finfo(np.float64).eps * (row_norms + np.sqrt(code_sq.max())) ** 2
     hits = np.less_equal(scores, scores.min(axis=0) + bound, out=work.hits)
-    new = hits.argmax(axis=0)
-    near = np.flatnonzero(np.count_nonzero(hits, axis=0) != 1)
+    k, col = np.divmod(np.flatnonzero(hits), n)
+    new = np.zeros(n, np.intp)
+    new[col] = k  # right for a row with one hit; every other row is recomputed
+    near = np.flatnonzero(np.bincount(col, minlength=n) != 1)
     if near.size:
         new[near] = _sq_dists(features[near], centers).argmin(axis=1)
     redo = np.flatnonzero((new != labels) | stale[new])
@@ -287,31 +274,9 @@ def kmeans_fit(
     if n_restarts < 1:
         raise ConfigError(f"n_restarts must be >= 1, got {n_restarts}")
 
-    strands = min(len(os.sched_getaffinity(0)), n_restarts, max(1, x.shape[0] // _ROWS_PER_STRAND))
-    restarts = [range(s, n_restarts, strands) for s in range(strands)]
-    works = [_Work(*x.shape, K, len(rs)) for rs in restarts]
-    results, failures = [None] * n_restarts, {}  # by restart index
-
-    def strand(s: int) -> None:
-        r = s  # a seeding error counts as the strand's first restart's
-        try:
-            rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), q])) for q in restarts[s]]
-            inits = _kmeanspp_batch(x, K, rngs, works[s])
-            for r, init in zip(restarts[s], inits):
-                results[r] = _lloyd(x, init, max_iters, tol, works[s])
-        except Exception as exc:
-            failures[r] = exc
-
-    threads = [threading.Thread(target=strand, args=(s,)) for s in range(1, strands)]
-    try:
-        for t in threads:
-            t.start()
-        strand(0)
-    finally:
-        for t in threads:
-            t.join()
-    if failures:
-        raise failures[min(failures)]
+    work = _Work(*x.shape, K, n_restarts)
+    rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), r])) for r in range(n_restarts)]
+    results = [_lloyd(x, init, max_iters, tol, work) for init in _kmeanspp_batch(x, K, rngs, work)]
     centers, labels, _, history = min(results, key=lambda result: result[2])
     result = Codebook(centers), IndexAssignment(labels, K)
     if collect_history:

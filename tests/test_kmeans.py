@@ -1,6 +1,5 @@
 import hashlib
 import os
-import sys
 import threading
 import tracemalloc
 
@@ -9,7 +8,7 @@ import pytest
 
 from decor import kmeans
 from decor.errors import ConfigError, NumericError, StateError
-from decor.kmeans import Codebook, IndexAssignment, _kmeanspp_batch, _lloyd, _Work, kmeans_fit
+from decor.kmeans import Codebook, IndexAssignment, _kmeanspp_batch, _lloyd, _nearest, _sq_dists, _Work, kmeans_fit
 from oracles import (
     brute_force_kmeans_optimum,
     brute_force_nearest,
@@ -158,6 +157,17 @@ class TestNearTies:
         x = self._points()
         cb, asn = kmeans_fit(x, 5, seed=0)
         assert np.array_equal(asn.indices, brute_force_nearest(cb.codes, x))
+
+    def test_a_row_with_no_score_in_the_bound_is_recomputed(self):
+        # row 0's score against code 2 is -inf + inf = NaN, so no score of
+        # that row is within the bound, and only the kernel can call it
+        x = np.array([[1e300, 0.0], [1.0, 2.0], [3.0, -1.0]])
+        c = np.array([[0.0, 0.0], [5.0, 5.0], [1e300, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _sq_dists(x, c).argmin(axis=1)
+            norms = np.sqrt(np.einsum("nd,nd->n", x, x))
+            labels = _nearest(x, norms, c, np.ones(3, bool), np.full(3, -1), np.empty(3), _Work(3, 2, 3, 0))
+        assert expected.tolist() == [2, 0, 0] and labels.tolist() == [2, 0, 0]
 
 
 class TestTypes:
@@ -364,13 +374,11 @@ def _fuzz_case(i: int):
 
 
 class TestAgainstSerialRecompute:
-    """The incremental Lloyd and the restart strands against the serial loop
+    """The incremental Lloyd and the batched seeding against the serial loop
     that recomputes every score, distance and mean on every step."""
 
     @pytest.mark.parametrize("i", range(48))
-    def test_fit_is_bitwise_the_serial_loop(self, i, cpus):
-        set_cpus, _ = cpus
-        set_cpus(1 + i % 3)
+    def test_fit_is_bitwise_the_serial_loop(self, i):
         x, K, kwargs = _fuzz_case(i)
         assert _fit_bits(x, K, i, **kwargs) == _reference_bits(x, K, i, **kwargs)
 
@@ -384,186 +392,62 @@ class TestAgainstSerialRecompute:
         assert _bits(c1, l1, np.array(h1 + [o1])) == _bits(c2, l2, np.array(h2 + [o2]))
 
 
-def _in_thread(fn, timeout=120.0):
-    """Run fn in a thread joined with a timeout, so a hang fails the test.
-
-    Returns (fn's result or the exception it raised, the threads it left running)."""
-    out = {}
-
-    def target():
-        before = set(threading.enumerate())
-        try:
-            out["value"] = fn()
-        except Exception as exc:
-            out["value"] = exc
-        out["leftover"] = set(threading.enumerate()) - before
-
-    t = threading.Thread(target=target)
-    t.start()
-    t.join(timeout)
-    assert not t.is_alive()
-    return out["value"], out["leftover"]
-
-
-ROWS_PER_STRAND = kmeans._ROWS_PER_STRAND
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count kmeans_fit reads, let a strand run on any number of
-    rows, and record every thread started."""
-    started = []
-    start = threading.Thread.start
-
-    def recording_start(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    monkeypatch.setattr(kmeans, "_ROWS_PER_STRAND", 1)
-    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n))), started
-
-
 def _restart_of(rng) -> int:
     return rng.bit_generator.seed_seq.entropy[1]
 
 
-class TestStrands:
+class TestRestarts:
     X = np.random.default_rng(4).standard_normal((150, 6))
 
-    def test_one_cpu_starts_no_thread(self, cpus):
-        set_cpus, started = cpus
-        set_cpus(1)
-        bits, leftover = _in_thread(lambda: _fit_bits(self.X, 7, 3))
-        assert started[1:] == [] and not leftover  # started[0] is _in_thread's own
-        assert bits == _reference_bits(self.X, 7, 3)
+    def test_starts_no_thread_on_eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        started, start = [], threading.Thread.start
 
-    def test_eight_cpus_with_constant_switching(self, cpus):
-        set_cpus, started = cpus
-        set_cpus(8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            bits, leftover = _in_thread(lambda: _fit_bits(self.X, 7, 3))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(started) == 1 + 7 and not leftover
-        assert all(not t.is_alive() for t in started)
-        assert bits == _reference_bits(self.X, 7, 3)
+        def recording_start(self):
+            started.append(self)
+            start(self)
 
-    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
-        set_cpus, started = cpus
-        set_cpus(2)
-        real, worker_ran = kmeans._lloyd, threading.Event()
-
-        def lloyd(*args):
-            if threading.current_thread() is started[0]:  # the calling strand waits for a worker
-                assert worker_ran.wait(30)
-                return real(*args)
-            worker_ran.set()
-            raise StateError("objective increased: 1.0 -> 2.0")
-
-        monkeypatch.setattr(kmeans, "_lloyd", lloyd)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         count = threading.active_count()
-        error, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
-        assert type(error) is StateError and str(error) == "objective increased: 1.0 -> 2.0"
-        assert not leftover and threading.active_count() == count
+        bits = _fit_bits(self.X, 7, 3)
+        assert started == [] and threading.active_count() == count
+        assert bits == _reference_bits(self.X, 7, 3)
 
-    def test_earliest_failing_restart_wins_not_the_first_to_fail(self, cpus, monkeypatch):
-        set_cpus, _ = cpus
-        set_cpus(4)
+    def test_the_earliest_failing_restart_raises(self, monkeypatch):
         real_batch, real_lloyd = kmeans._kmeanspp_batch, kmeans._lloyd
-        local, six_failed = threading.local(), threading.Event()
+        restarts, ran = [], []
 
-        def batch(x, K, rngs, work):  # the strand then runs _lloyd on these restarts in order
-            local.restarts = [_restart_of(rng) for rng in rngs]
+        def batch(x, K, rngs, work):  # _lloyd then runs on these restarts in order
+            restarts.extend(_restart_of(rng) for rng in rngs)
             return real_batch(x, K, rngs, work)
 
         def lloyd(*args):
-            local.restart = local.restarts.pop(0)
-            if local.restart == 3:  # fails only after restart 6 has
-                assert six_failed.wait(30)
-            elif local.restart == 6:
-                six_failed.set()
-            if local.restart in (3, 6):
-                raise StateError(f"objective increased: restart {local.restart}")
+            ran.append(restarts.pop(0))
+            if ran[-1] in (3, 6):
+                raise StateError(f"objective increased: restart {ran[-1]}")
             return real_lloyd(*args)
 
         monkeypatch.setattr(kmeans, "_kmeanspp_batch", batch)
         monkeypatch.setattr(kmeans, "_lloyd", lloyd)
-        error, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
-        assert str(error) == "objective increased: restart 3" and not leftover
+        with pytest.raises(StateError) as error:
+            kmeans_fit(self.X, 7, seed=3)
+        assert str(error.value) == "objective increased: restart 3" and ran == [0, 1, 2, 3]
 
-    def test_tied_winner_is_the_earliest_restart_not_the_first_done(self, cpus, monkeypatch):
+    def test_a_tied_winner_is_the_earliest_restart(self):
         # on a unit square's corners restarts 0 and 1 of seed 5 end at the
-        # same objective with different codes; restart 0 finishes last
+        # same objective with different codes
         x, seed = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 5
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, r])) for r in range(4)]
         runs = [reference_lloyd(x, reference_kmeanspp_init(x, 2, rng), 100, 1e-6) for rng in rngs]
         assert runs[0][2] == runs[1][2] and _bits(runs[0][0]) != _bits(runs[1][0])
-        set_cpus, _ = cpus
-        set_cpus(4)
-        real_batch, real_lloyd = kmeans._kmeanspp_batch, kmeans._lloyd
-        local, lock, done, others_done = threading.local(), threading.Lock(), [], threading.Event()
-
-        def batch(x, K, rngs, work):  # the strand then runs _lloyd on these restarts in order
-            local.restarts = [_restart_of(rng) for rng in rngs]
-            return real_batch(x, K, rngs, work)
-
-        def lloyd(*args):
-            local.restart = local.restarts.pop(0)
-            if local.restart == 0:
-                assert others_done.wait(30)
-            result = real_lloyd(*args)
-            with lock:
-                done.append(local.restart)
-                if len(done) == 3:
-                    others_done.set()
-            return result
-
-        monkeypatch.setattr(kmeans, "_kmeanspp_batch", batch)
-        monkeypatch.setattr(kmeans, "_lloyd", lloyd)
-        bits, leftover = _in_thread(lambda: _fit_bits(x, 2, seed, n_restarts=4))
-        assert done[-1] == 0 and not leftover
+        bits = _fit_bits(x, 2, seed, n_restarts=4)
         assert bits == _reference_bits(x, 2, seed, n_restarts=4)
         assert bits[0] == _bits(runs[0][0])[0]
 
-    def test_a_strand_needs_its_share_of_rows(self, cpus, monkeypatch):
-        set_cpus, started = cpus
-        set_cpus(8)
-        monkeypatch.setattr(kmeans, "_ROWS_PER_STRAND", ROWS_PER_STRAND)
-        x = np.random.default_rng(5).standard_normal((2 * ROWS_PER_STRAND, 3))
-        _, leftover = _in_thread(lambda: kmeans_fit(x[:-1], 4, seed=0, n_restarts=4))
-        assert len(started) == 1 and not leftover
-        _, leftover = _in_thread(lambda: kmeans_fit(x, 4, seed=0, n_restarts=4))
-        assert len(started) == 3 and not leftover  # two _in_thread threads, one worker
 
-    def test_workers_call_nothing_outside_kmeans(self, cpus):
-        set_cpus, started = cpus
-        set_cpus(2)
-        modules: dict = {}
-
-        def profile(frame, event, arg):
-            if event == "call":
-                modules.setdefault(threading.current_thread(), set()).add(frame.f_globals.get("__name__"))
-
-        threading.setprofile(profile)
-        try:
-            _, leftover = _in_thread(lambda: kmeans_fit(self.X, 7, seed=3))
-        finally:
-            threading.setprofile(None)
-        workers = started[1:]
-        assert len(workers) == 1 and not leftover
-        seen = set().union(*(modules.get(t, set()) for t in workers))
-        assert "decor.kmeans" in seen
-        assert {m for m in seen if m and m.split(".")[0] == "decor"} == {"decor.kmeans"}
-
-
-def test_a_fit_peaks_under_twelve_times_its_feature_bytes(cpus):
+def test_a_fit_peaks_under_twelve_times_its_feature_bytes():
     # seeding gathers its candidate (restart, row) pairs at most N at a time;
     # gathering them all at once peaks near 28x at this size
-    set_cpus, _ = cpus
-    set_cpus(1)
     x = np.random.default_rng(6).standard_normal((1200, 64))
     tracemalloc.start()
     try:
