@@ -69,8 +69,12 @@ def cmd_run(args) -> int:
     for point, config in runs:
         runs_path = _results_dir(config) / "runs.jsonl"
         settings = "".join(f" {_setting(key, value)}" for key, value in point.items())
+        tasks = None
         for seed in config.seeds:
-            record = run_sequence(config, config.tasks_for_seed(seed), seed)
+            # a feature file is the same for every seed: it is read once
+            if tasks is None or config.data_source == "synthetic":
+                tasks = config.tasks_for_seed(seed)
+            record = run_sequence(config, tasks, seed)
             with open(runs_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
             written += 1

@@ -13,22 +13,31 @@ training step, built from two parts named by the method table in `config`:
   gradient).
 
 At each boundary LwF snapshots the encoder and head, and decor clusters
-the next task's features into the index table. The probe results fill a
-lower-triangular AccuracyMatrix from which the average seen-task accuracy
-A_t and the mean maximum forgetting F_t are computed:
+the next task's features into the index table. The probe only reads the
+frozen encoder, so on Linux every boundary's probe but the last runs in a
+forked child beside the next task's training and K-means; elsewhere, and
+at the last boundary, it runs in the calling process. The probe results
+fill a lower-triangular AccuracyMatrix, in task order, from which the
+average seen-task accuracy A_t and the mean maximum forgetting F_t are
+computed:
 
     A_t = (1/t) * sum_{j<=t} A[t][j]
     F_t = (1/(t-1)) * sum_{j<t} max_{tau<=t} (A[tau][j] - A[t][j])
 
 One run is deterministic for any core count given (config, seed):
 every random choice flows through a named sub-seed stream, so enabling the
-regularizer with weight 0 replays the finetune trajectory bit for bit. A
-training step that goes non-finite raises a NumericError naming the method,
-seed, task, epoch and step.
+regularizer with weight 0 replays the finetune trajectory bit for bit, and
+a probe gives the same bits in a child as inline. A training step that
+goes non-finite raises a NumericError naming the method, seed, task, epoch
+and step; a probe that does, one naming the method, seed and task.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -225,10 +234,73 @@ class _SgdMomentum:
         self._velocity.pop(name, None)
 
 
+def _probe(probe_args: tuple) -> tuple[str, object]:
+    """`evaluate_probe(*probe_args)` as ("ok", accuracies) or ("error", exception)."""
+    try:
+        # as in training, numpy's overflow warnings are off: a diverging
+        # probe still ends at its finiteness check on the logits
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", evaluate_probe(*probe_args)
+    except Exception as exc:
+        return "error", exc
+
+
+def _start_probe(probe_args: tuple) -> tuple[int, int] | None:
+    """Run `_probe(probe_args)` in a forked child; returns (pid, read end of
+    the pipe its pickled outcome comes through), or None where the probe
+    is to run inline: off Linux (macOS's Accelerate BLAS is not fork-safe)
+    or when the fork fails."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the probe runs inline
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # the child leaves through os._exit: no exit handlers, no flush of
+        # buffers it shares with the parent
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_probe(probe_args)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _finish_probe(pid: int, read_fd: int) -> tuple[str, object]:
+    """Wait for a probe child; returns its outcome, as `_probe` gives it."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        return "error", StateError(f"probe process exited with code {code} and no result")
+    return pickle.loads(data)
+
+
 def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) -> RunRecord:
     """Train through the task sequence and evaluate at every boundary.
 
     `tasks` must be a class-disjoint sequence of length config.T.
+
+    On Linux the probe of boundary t < T runs in a forked child on the
+    frozen encoder while task t+1 trains. Boundary t+1 collects it before it
+    starts the next child, so at most one child exists, and none outlives
+    the call. The last boundary's probe runs in the calling process, as
+    every probe does elsewhere, and the child of boundary T-1 is collected
+    after it. Rows are filled in task order. A task's `wall_ms_per_task`
+    entry thus holds no probe that ran beside training, only the wait for
+    it at the next boundary. A probe that fails raises its own exception
+    type, naming the method, seed and task.
     """
     if config.method not in METHODS:
         raise ConfigError(f"method: unknown value {config.method!r}")
@@ -270,91 +342,124 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     forgetting: list[float] = []
     seen_mask = np.zeros(num_classes, dtype=bool)
 
-    run_start = time.perf_counter()
-    for t, task in enumerate(tasks, start=1):
-        task_start = time.perf_counter()
-        seen_mask[list(task.class_set)] = True
-        train_x, train_y, train_ids = task.train_view()
-        n = train_x.shape[0]
-        if n == 0:
-            raise ConfigError(f"task {task.task_id} has no train rows")
-
-        if state is not None:
-            predictor = init_index_predictor(
-                config.predictor_config(),
-                config.encoder_out,
-                seed=sub_seed(seed, "init-predictor", t),
-            )
-            optimizer.reset("predictor")
-        storage_bits_per_task.append(0 if state is None else storage_bits(len(state), state.K))
-        state_bytes_per_task.append(0 if state is None else len(serialize_state(state)))
-
-        # numpy's overflow warnings are off: a blow-up still ends at the step's
-        # finiteness check (the logits' or the new parameters'), re-raised
-        # naming the step
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for epoch in range(config.epochs_per_task):
-                    shuffle_rng = np.random.default_rng(sub_seed(seed, "shuffle", t, epoch))
-                    for b, rows in enumerate(_batches(n, config.batch_size, shuffle_rng)):
-                        if contrastive and len(rows) < 2:
-                            continue  # a lone pair has no negatives
-                        aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
-                        x = train_x[rows]
-                        if contrastive:
-                            views = augment_two_views(x, aug_cfg)
-                        else:
-                            views = (augment_view(x, aug_cfg),)
-                        feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
-                        outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
-                        if contrastive:
-                            douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
-                        else:
-                            douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
-
-                        # regularizer hooks, both on view 0: LwF on the head output,
-                        # decor on the encoder output
-                        if teacher is not None:
-                            _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
-                            douts[0] = douts[0] + config.lwf_weight * dkl
-                        head_grads, dfeats = zip(
-                            *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
-                        )
-                        dfeats = list(dfeats)
-                        if state is not None and config.lam != 0.0:
-                            plogits, p_cache = nn.forward_cached(predictor, feats[0])
-                            _, dplogits = distill_loss(plogits, state, train_ids[rows])
-                            pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
-                            dfeats[0] = dfeats[0] + dfeats_pd
-                            predictor = optimizer.step("predictor", predictor, pred_grads)
-
-                        enc_grads = [
-                            nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
-                        ]
-                        encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
-                        head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
-                        events.append(("train_step", t))
-        except NumericError as exc:
-            where = f"{config.method} seed {seed} task {t} epoch {epoch + 1} step {b + 1}"
-            raise NumericError(f"{where}: {exc}") from exc
-
-        # task boundary: probe every seen task, snapshot/cluster for the next
-        probe_cfg = config.probe_config(sub_seed(seed, "probe", t))
-        for j, acc in enumerate(evaluate_probe(encoder, tasks[:t], num_classes, probe_cfg), start=1):
+    def record_probe(t: int, outcome: tuple[str, object]) -> None:
+        """Fill row t from a probe's outcome; an error is re-raised naming the run and task."""
+        kind, value = outcome
+        if kind == "error":
+            raise type(value)(f"{config.method} seed {seed} task {t} probe: {value}") from value
+        for j, acc in enumerate(value, start=1):
             matrix.set_entry(t, j, acc)
         avg_acc.append(average_accuracy(matrix, t))
         forgetting.append(max_forgetting(matrix, t))
 
-        if reg == "lwf":
-            teacher = TeacherSnapshot.capture(encoder, head, config.lwf_temperature)
-            teacher_bytes = max(teacher_bytes, teacher.num_bytes())
-        if reg == "decor" and t < config.T:
-            next_x, _, next_ids = tasks[t].train_view()
-            state = increment(
-                encoder, next_x, config.K, seed=sub_seed(seed, "kmeans", t), sample_ids=next_ids
-            )
-            events.append(("increment", t + 1))
-        wall_ms_per_task.append((time.perf_counter() - task_start) * 1000.0)
+    def collect_background() -> None:
+        nonlocal background
+        if background is not None:
+            (done, *child), background = background, None
+            record_probe(done, _finish_probe(*child))
+
+    background = None  # (t, pid, read end) of the probe running in a child
+    run_start = time.perf_counter()
+    try:
+        for t, task in enumerate(tasks, start=1):
+            task_start = time.perf_counter()
+            seen_mask[list(task.class_set)] = True
+            train_x, train_y, train_ids = task.train_view()
+            n = train_x.shape[0]
+            if n == 0:
+                raise ConfigError(f"task {task.task_id} has no train rows")
+
+            if state is not None:
+                predictor = init_index_predictor(
+                    config.predictor_config(),
+                    config.encoder_out,
+                    seed=sub_seed(seed, "init-predictor", t),
+                )
+                optimizer.reset("predictor")
+            storage_bits_per_task.append(0 if state is None else storage_bits(len(state), state.K))
+            state_bytes_per_task.append(0 if state is None else len(serialize_state(state)))
+
+            # numpy's overflow warnings are off: a blow-up still ends at the step's
+            # finiteness check (the logits' or the new parameters'), re-raised
+            # naming the step
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for epoch in range(config.epochs_per_task):
+                        shuffle_rng = np.random.default_rng(sub_seed(seed, "shuffle", t, epoch))
+                        for b, rows in enumerate(_batches(n, config.batch_size, shuffle_rng)):
+                            if contrastive and len(rows) < 2:
+                                continue  # a lone pair has no negatives
+                            aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
+                            x = train_x[rows]
+                            if contrastive:
+                                views = augment_two_views(x, aug_cfg)
+                            else:
+                                views = (augment_view(x, aug_cfg),)
+                            feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
+                            outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
+                            if contrastive:
+                                douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
+                            else:
+                                douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
+
+                            # regularizer hooks, both on view 0: LwF on the head output,
+                            # decor on the encoder output
+                            if teacher is not None:
+                                _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
+                                douts[0] = douts[0] + config.lwf_weight * dkl
+                            head_grads, dfeats = zip(
+                                *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
+                            )
+                            dfeats = list(dfeats)
+                            if state is not None and config.lam != 0.0:
+                                plogits, p_cache = nn.forward_cached(predictor, feats[0])
+                                _, dplogits = distill_loss(plogits, state, train_ids[rows])
+                                pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
+                                dfeats[0] = dfeats[0] + dfeats_pd
+                                predictor = optimizer.step("predictor", predictor, pred_grads)
+
+                            enc_grads = [
+                                nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
+                            ]
+                            encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
+                            head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
+                            events.append(("train_step", t))
+            except NumericError as exc:
+                where = f"{config.method} seed {seed} task {t} epoch {epoch + 1} step {b + 1}"
+                raise NumericError(f"{where}: {exc}") from exc
+
+            # task boundary: probe every seen task, then snapshot/cluster for
+            # the next. Before the last boundary the probe starts in a child,
+            # once the previous child is collected, and runs beside the next
+            # task; the last one runs here while the previous child ends.
+            probe_args = (encoder, tasks[:t], num_classes, config.probe_config(sub_seed(seed, "probe", t)))
+            child = None
+            if t < config.T:
+                collect_background()
+                child = _start_probe(probe_args)
+            if child is None:
+                outcome = _probe(probe_args)
+                collect_background()
+                record_probe(t, outcome)
+            else:
+                background = (t, *child)
+
+            if reg == "lwf":
+                teacher = TeacherSnapshot.capture(encoder, head, config.lwf_temperature)
+                teacher_bytes = max(teacher_bytes, teacher.num_bytes())
+            if reg == "decor" and t < config.T:
+                next_x, _, next_ids = tasks[t].train_view()
+                state = increment(
+                    encoder, next_x, config.K, seed=sub_seed(seed, "kmeans", t), sample_ids=next_ids
+                )
+                events.append(("increment", t + 1))
+            wall_ms_per_task.append((time.perf_counter() - task_start) * 1000.0)
+    finally:
+        if background is not None:  # the run failed: kill and reap the child
+            _, pid, read_fd = background
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
     record = RunRecord(
         method=config.method,

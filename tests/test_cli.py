@@ -3,10 +3,10 @@ import json
 import pytest
 import yaml
 
-from decor import cli
+from decor import cli, config as config_mod
 from decor.config import SCHEMA, ExperimentConfig, identity_hash, load_config
 from decor.data import SyntheticConfig, generate_synthetic_tasks, save_feature_file
-from decor.harness import AccuracyMatrix
+from decor.harness import AccuracyMatrix, run_sequence
 from decor.regularizer import DecorState
 
 TINY = {
@@ -38,6 +38,17 @@ def _record(method, state_bytes, teacher_bytes, seed=0, **settings):
     }
 
 
+@pytest.fixture(autouse=True)
+def results_dir(tmp_path, monkeypatch):
+    """Every run writes under tmp_path; the working directory stays empty."""
+    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    yield tmp_path / "results"
+    assert list(cwd.iterdir()) == []
+
+
 def _write_config(tmp_path, body):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(body), encoding="utf-8")
@@ -50,8 +61,7 @@ def test_run_with_a_bad_key_exits_2(tmp_path, capsys):
     assert "probe.lr:" in capsys.readouterr().err
 
 
-def test_run_then_report(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+def test_run_then_report(tmp_path, capsys):
     config = _write_config(tmp_path, {**TINY, "method": "decor"})
     assert cli.main(["run", "--config", config]) == 0
     runs = tmp_path / "results" / "runs.jsonl"
@@ -61,13 +71,20 @@ def test_run_then_report(tmp_path, monkeypatch, capsys):
     assert [path.name for path in (tmp_path / "results").iterdir()] == ["runs.jsonl"]
 
 
-def test_a_diverging_run_exits_1_naming_where_it_diverged(tmp_path, monkeypatch, capsys):
+def test_a_diverging_run_exits_1_naming_where_it_diverged(tmp_path, capsys):
     # lambda 5 at momentum 0.9 drives the predictor's logits to overflow in
     # task 4's 9th step; at T=2 the run ends before that
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
     config = _write_config(tmp_path, {"method": "decor", "lambda": 5, "seeds": [0]})
     assert cli.main(["run", "--config", config]) == 1
     assert capsys.readouterr().err == "error: decor seed 0 task 4 epoch 1 step 9: non-finite logits\n"
+
+
+def test_a_diverging_probe_exits_1_naming_where_it_diverged(tmp_path, capsys):
+    # task 1's probe overflows in its 2nd step; on Linux it runs in a child,
+    # so its error crosses to the parent when task 2 ends
+    body = {**TINY, "method": "finetune", "probe": {"lr": 1.0e308, "epochs": 2}}
+    assert cli.main(["run", "--config", _write_config(tmp_path, body)]) == 1
+    assert capsys.readouterr().err == "error: finetune seed 0 task 1 probe: non-finite logits\n"
 
 
 def test_report_storage_is_the_peak_per_run(tmp_path, capsys):
@@ -153,8 +170,7 @@ def _report_rows(capsys, runs):
     return [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
 
 
-def test_sweep_runs_every_grid_point(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+def test_sweep_runs_every_grid_point(tmp_path, capsys):
     config = _write_config(tmp_path, {**TINY, "method": "decor"})
     assert cli.main(["sweep", "--config", config, "--grid", "lambda=0.2,1", "K=4,8"]) == 0
     runs = tmp_path / "results" / "runs.jsonl"
@@ -188,15 +204,13 @@ def test_sweep_runs_every_grid_point(tmp_path, monkeypatch, capsys):
         (["K=[4"], "K"),
     ],
 )
-def test_a_bad_grid_exits_2_naming_the_key(tmp_path, monkeypatch, capsys, grid, key):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+def test_a_bad_grid_exits_2_naming_the_key(tmp_path, capsys, grid, key):
     config = _write_config(tmp_path, TINY)
     assert cli.main(["sweep", "--config", config, "--grid", *grid]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
 def test_a_bad_last_grid_point_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setattr(cli, "run_sequence", lambda *args: pytest.fail("a run started"))
     config = _write_config(tmp_path, {**TINY, "method": "decor"})
     assert cli.main(["sweep", "--config", config, "--grid", "lambda=0.2,-1"]) == 2
@@ -221,7 +235,6 @@ def test_every_scalar_key_is_a_grid_axis(tmp_path, key, name):
 
 
 def test_a_finished_run_is_kept_when_a_later_one_fails(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
     real = cli.run_sequence
 
     def fail_on_seed_1(config, tasks, seed):
@@ -252,8 +265,7 @@ def test_report_keeps_the_last_record_per_config_and_seed(tmp_path, capsys):
     ]
 
 
-def test_a_rewritten_feature_file_is_another_config(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DECOR_RESULTS_DIR", str(tmp_path / "results"))
+def test_a_rewritten_feature_file_is_another_config(tmp_path, capsys):
     data = tmp_path / "feats.csv"
     config = _write_config(tmp_path, {**TINY, "data": {"source": "file", "path": str(data)}})
     for seed in (0, 1):
@@ -263,3 +275,23 @@ def test_a_rewritten_feature_file_is_another_config(tmp_path, monkeypatch, capsy
     rows = _report_rows(capsys, tmp_path / "results" / "runs.jsonl")
     assert [row[:2] for row in rows] == [["finetune", "1"]] * 2
     assert all(row[-1].startswith("data.sha256=") for row in rows)
+
+
+def test_a_feature_file_is_read_once_for_all_seeds(tmp_path, monkeypatch, results_dir):
+    data = tmp_path / "feats.csv"
+    synthetic = SyntheticConfig(num_classes=4, samples_per_class=40, seed=0)
+    save_feature_file(generate_synthetic_tasks(synthetic, T=2), data)
+    path = _write_config(tmp_path, {**TINY, "seeds": [0, 1, 2], "data": {"source": "file", "path": str(data)}})
+    real = config_mod.load_feature_file
+    calls = []
+    monkeypatch.setattr(config_mod, "load_feature_file", lambda p: calls.append(p) or real(p))
+    assert cli.main(["run", "--config", path]) == 0
+    assert calls == [str(data)]
+
+    def untimed(record: dict) -> dict:
+        return {key: value for key, value in record.items() if not key.startswith("wall_ms")}
+
+    config = load_config(path)
+    expected = [untimed(run_sequence(config, config.tasks_for_seed(s), s).to_json_dict()) for s in (0, 1, 2)]
+    lines = (results_dir / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [untimed(json.loads(line)) for line in lines] == expected

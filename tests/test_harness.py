@@ -5,10 +5,17 @@ config at seed 0. They are compared bitwise: a refactor of the training
 step that reorders any floating-point operation shows up here.
 """
 
+import errno
+import os
+import signal
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from decor import harness
 from decor.config import config_from_dict
+from decor.errors import NumericError, StateError
 from decor.harness import AccuracyMatrix, average_accuracy, max_forgetting, run_sequence
 from oracles import naive_average_accuracy, naive_max_forgetting
 
@@ -61,6 +68,70 @@ def test_two_runs_of_one_config_are_equal(method):
         for _ in range(2)
     )
     assert first == second
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` starts during the test."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_a_probe_in_a_child_gives_the_inline_bits(method, forks, monkeypatch):
+    forked = _run(method, epochs_per_task=1)
+    # every boundary's probe but the last runs in a child, on Linux only
+    assert len(forks) == (2 if sys.platform == "linux" else 0)
+    monkeypatch.delattr(os, "fork")
+    inline = _run(method, epochs_per_task=1)
+    assert forked.accuracy == inline.accuracy
+    assert forked.avg_accuracy == inline.avg_accuracy
+    assert forked.forgetting == inline.forgetting
+
+
+def test_a_diverging_run_reaps_the_probe_in_flight(forks):
+    # lambda 5 at momentum 0.9 overflows in task 4's 9th step, while task 3's
+    # probe runs in a child that only the error path can reap
+    config = config_from_dict({"method": "decor", "lambda": 5, "seeds": [0]})
+    with pytest.raises(NumericError, match="^decor seed 0 task 4 epoch 1 step 9: "):
+        run_sequence(config, config.tasks_for_seed(0), 0)
+    assert len(forks) == (3 if sys.platform == "linux" else 0)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_failed_fork_runs_the_probe_inline(monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    record = _run("decor")
+    assert (record.accuracy, record.state_bytes_per_task, record.teacher_bytes) == GOLDEN["decor"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="probes run in children on Linux only")
+def test_a_probe_child_that_dies_is_named(monkeypatch):
+    parent, real = os.getpid(), harness._probe
+
+    def probe(probe_args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(probe_args)
+
+    monkeypatch.setattr(harness, "_probe", probe)
+    message = "^finetune seed 0 task 1 probe: probe process exited with code -9 and no result$"
+    with pytest.raises(StateError, match=message):
+        _run("finetune", epochs_per_task=1)
 
 
 @st.composite
