@@ -14,12 +14,13 @@ training step, built from two parts named by the method table in `config`:
 
 At each boundary LwF snapshots the encoder and head, and decor clusters
 the next task's features into the index table. The probe only reads the
-frozen encoder, so on Linux every boundary's probe but the last runs in a
-forked child beside the next task's training and K-means; elsewhere, and
-at the last boundary, it runs in the calling process. The probe results
-fill a lower-triangular AccuracyMatrix, in task order, from which the
-average seen-task accuracy A_t and the mean maximum forgetting F_t are
-computed:
+frozen encoder, and no probe depends on another, so on Linux every
+boundary's probe but the last runs in a forked child beside the next
+tasks' training and K-means, with up to one child per CPU the process may
+use; elsewhere, and at the last boundary, it runs in the calling process.
+The probe results fill a lower-triangular AccuracyMatrix, in task order,
+from which the average seen-task accuracy A_t and the mean maximum
+forgetting F_t are computed:
 
     A_t = (1/t) * sum_{j<=t} A[t][j]
     F_t = (1/(t-1)) * sum_{j<t} max_{tau<=t} (A[tau][j] - A[t][j])
@@ -39,7 +40,9 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, fields
+import warnings
+from collections import deque
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -148,7 +151,6 @@ class RunRecord:
     teacher_bytes: int
     wall_ms_per_task: list[float]
     wall_ms_total: float
-    events: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, name) for name in _JSON_FIELDS}
@@ -163,7 +165,7 @@ class RunRecord:
         if missing:
             raise ValueError(f"missing key {missing[0]!r}")
         for f in fields(cls):
-            if f.name in _JSON_FIELDS and not _fits(d[f.name], f.type):
+            if not _fits(d[f.name], f.type):
                 raise ValueError(f"{f.name}: expected {f.type}, got {d[f.name]!r}")
         record = cls(**{name: d[name] for name in _JSON_FIELDS})
         if record.T < 1:
@@ -174,22 +176,8 @@ class RunRecord:
                 raise ValueError(f"{name}: expected a list of T={record.T} entries, got {value!r}")
         return record
 
-    def assert_event_order(self) -> None:
-        """The state used by task t must exist before task t trains at all."""
-        first_step = {}
-        built_at = {}
-        for pos, (kind, task) in enumerate(self.events):
-            if kind == "train_step" and task not in first_step:
-                first_step[task] = pos
-            elif kind == "increment":
-                built_at[task] = pos
-        for task, pos in built_at.items():
-            if task in first_step and pos >= first_step[task]:
-                raise StateError(f"state for task {task} built after training began")
 
-
-# every RunRecord field but the in-memory `events` goes to JSON
-_JSON_FIELDS = [f.name for f in fields(RunRecord) if f.name != "events"]
+_JSON_FIELDS = [f.name for f in fields(RunRecord)]
 # the fields declared as list[...] hold one entry per task
 _PER_TASK_FIELDS = [f.name for f in fields(RunRecord) if f.type.startswith("list[")]
 
@@ -254,7 +242,12 @@ def _start_probe(probe_args: tuple) -> tuple[int, int] | None:
         return None
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
+        # Python 3.12+ warns from os.fork() in a process with more than one
+        # thread (a BLAS worker is one); a warning filter that raised it
+        # would lose the pid of a child that already exists
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:  # out of processes or memory: the probe runs inline
         os.close(read_fd)
         os.close(write_fd)
@@ -293,14 +286,17 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     `tasks` must be a class-disjoint sequence of length config.T.
 
     On Linux the probe of boundary t < T runs in a forked child on the
-    frozen encoder while task t+1 trains. Boundary t+1 collects it before it
-    starts the next child, so at most one child exists, and none outlives
-    the call. The last boundary's probe runs in the calling process, as
-    every probe does elsewhere, and the child of boundary T-1 is collected
-    after it. Rows are filled in task order. A task's `wall_ms_per_task`
-    entry thus holds no probe that ran beside training, only the wait for
-    it at the next boundary. A probe that fails raises its own exception
-    type, naming the method, seed and task.
+    frozen encoder while the next tasks train. The children wait in a FIFO
+    that holds at most one per CPU the process may use. A boundary whose
+    FIFO is full first collects the oldest child, so with one CPU at most
+    one child exists. The last boundary's probe runs in the calling
+    process, as every probe does elsewhere and as one whose fork failed
+    does, and the children still in flight are collected after it. Rows are
+    filled in task order. A task's `wall_ms_per_task` entry thus holds no
+    probe that ran beside training, only the waits for the children it
+    collected. A probe that fails raises its own exception type, naming the
+    method, seed and task. No child outlives the call: when the run fails,
+    every child in flight is killed and reaped.
     """
     if config.method not in METHODS:
         raise ConfigError(f"method: unknown value {config.method!r}")
@@ -334,7 +330,6 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     teacher_bytes = 0
 
     matrix = AccuracyMatrix(config.T)
-    events: list[tuple[str, int]] = []
     storage_bits_per_task: list[int] = []
     state_bytes_per_task: list[int] = []
     wall_ms_per_task: list[float] = []
@@ -352,13 +347,12 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
         avg_acc.append(average_accuracy(matrix, t))
         forgetting.append(max_forgetting(matrix, t))
 
-    def collect_background() -> None:
-        nonlocal background
-        if background is not None:
-            (done, *child), background = background, None
-            record_probe(done, _finish_probe(*child))
+    def collect_oldest() -> None:
+        done, *child = in_flight.popleft()
+        record_probe(done, _finish_probe(*child))
 
-    background = None  # (t, pid, read end) of the probe running in a child
+    in_flight: deque[tuple[int, int, int]] = deque()  # (t, pid, read end) of each probe child
+    max_children = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     run_start = time.perf_counter()
     try:
         for t, task in enumerate(tasks, start=1):
@@ -423,26 +417,25 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                             ]
                             encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
                             head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
-                            events.append(("train_step", t))
             except NumericError as exc:
                 where = f"{config.method} seed {seed} task {t} epoch {epoch + 1} step {b + 1}"
                 raise NumericError(f"{where}: {exc}") from exc
 
             # task boundary: probe every seen task, then snapshot/cluster for
-            # the next. Before the last boundary the probe starts in a child,
-            # once the previous child is collected, and runs beside the next
-            # task; the last one runs here while the previous child ends.
+            # the next. Before the last boundary the probe starts in a child
+            # that runs beside the next tasks; the last one runs here while
+            # the children in flight end.
             probe_args = (encoder, tasks[:t], num_classes, config.probe_config(sub_seed(seed, "probe", t)))
-            child = None
-            if t < config.T:
-                collect_background()
-                child = _start_probe(probe_args)
+            if len(in_flight) == max_children:
+                collect_oldest()
+            child = _start_probe(probe_args) if t < config.T else None
             if child is None:
                 outcome = _probe(probe_args)
-                collect_background()
+                while in_flight:
+                    collect_oldest()
                 record_probe(t, outcome)
             else:
-                background = (t, *child)
+                in_flight.append((t, *child))
 
             if reg == "lwf":
                 teacher = TeacherSnapshot.capture(encoder, head, config.lwf_temperature)
@@ -452,16 +445,14 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                 state = increment(
                     encoder, next_x, config.K, seed=sub_seed(seed, "kmeans", t), sample_ids=next_ids
                 )
-                events.append(("increment", t + 1))
             wall_ms_per_task.append((time.perf_counter() - task_start) * 1000.0)
     finally:
-        if background is not None:  # the run failed: kill and reap the child
-            _, pid, read_fd = background
+        for _, pid, read_fd in in_flight:  # the run failed: kill and reap every child
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    record = RunRecord(
+    return RunRecord(
         method=config.method,
         T=config.T,
         seed=seed,
@@ -475,7 +466,4 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
         teacher_bytes=teacher_bytes,
         wall_ms_per_task=wall_ms_per_task,
         wall_ms_total=(time.perf_counter() - run_start) * 1000.0,
-        events=events,
     )
-    record.assert_event_order()
-    return record

@@ -9,6 +9,7 @@ import errno
 import os
 import signal
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,49 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """The ("fork", pid) and ("reap", pid) calls the test makes, in order."""
+    log = []
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            log.append(("fork", pid))
+        return pid
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        if reaped[0]:
+            log.append(("reap", reaped[0]))
+        return reaped
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return log
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _paper_run(method, **overrides):
+    config = config_from_dict({**overrides, "method": method, "seeds": [0]})
+    return run_sequence(config, config.tasks_for_seed(0), 0)
+
+
+def _kinds(log):
+    return [kind for kind, _ in log]
+
+
+def _pids(log, kind):
+    return [pid for k, pid in log if k == kind]
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="probes run in children on Linux only")
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN))
 def test_a_probe_in_a_child_gives_the_inline_bits(method, forks, monkeypatch):
     forked = _run(method, epochs_per_task=1)
@@ -98,16 +142,16 @@ def test_a_probe_in_a_child_gives_the_inline_bits(method, forks, monkeypatch):
     assert forked.forgetting == inline.forgetting
 
 
-def test_a_diverging_run_reaps_the_probe_in_flight(forks):
-    # lambda 5 at momentum 0.9 overflows in task 4's 9th step, while task 3's
-    # probe runs in a child that only the error path can reap
-    config = config_from_dict({"method": "decor", "lambda": 5, "seeds": [0]})
+def test_a_diverging_run_reaps_the_probe_in_flight(children, monkeypatch):
+    # lambda 5 at momentum 0.9 overflows in task 4's 9th step, while, with 4
+    # CPUs, the probes of tasks 1-3 run in children that only the error path
+    # can reap
+    cpus(monkeypatch, 4)
     with pytest.raises(NumericError, match="^decor seed 0 task 4 epoch 1 step 9: "):
-        run_sequence(config, config.tasks_for_seed(0), 0)
-    assert len(forks) == (3 if sys.platform == "linux" else 0)
-    for pid in forks:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+        _paper_run("decor", **{"lambda": 5})
+    if sys.platform == "linux":
+        assert _kinds(children) == ["fork"] * 3 + ["reap"] * 3
+    assert _pids(children, "reap") == _pids(children, "fork")
 
 
 def test_a_failed_fork_runs_the_probe_inline(monkeypatch):
@@ -132,6 +176,65 @@ def test_a_probe_child_that_dies_is_named(monkeypatch):
     message = "^finetune seed 0 task 1 probe: probe process exited with code -9 and no result$"
     with pytest.raises(StateError, match=message):
         _run("finetune", epochs_per_task=1)
+
+
+def test_a_fork_that_warns_as_python_3_12_does_loses_no_child(forks, monkeypatch):
+    # Python 3.12+ warns in the parent after the fork when threads are live;
+    # under an "error" filter the warning would lose the child's pid
+    spy = os.fork
+
+    def fork():
+        pid = spy()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forked = _run("finetune", epochs_per_task=1)
+    assert len(forks) == (2 if sys.platform == "linux" else 0)
+    monkeypatch.delattr(os, "fork")
+    inline = _run("finetune", epochs_per_task=1)
+    assert (forked.accuracy, forked.avg_accuracy, forked.forgetting) == (
+        inline.accuracy,
+        inline.avg_accuracy,
+        inline.forgetting,
+    )
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "n, kinds",
+    [
+        # one child at a time: each is reaped before the next starts
+        (1, ["fork", "reap"] * 4),
+        # a full FIFO reaps its oldest child before the next probe starts
+        (2, ["fork", "fork", "reap", "fork", "reap", "fork", "reap", "reap"]),
+    ],
+)
+def test_the_probe_children_in_flight_never_outnumber_the_cpus(n, kinds, children, monkeypatch):
+    cpus(monkeypatch, n)
+    _paper_run("finetune", epochs_per_task=1)
+    assert _kinds(children) == kinds
+    assert _pids(children, "reap") == _pids(children, "fork")  # in task order
+
+
+@linux_only
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_four_cpus_keep_every_probe_child_in_flight(method, children, monkeypatch):
+    cpus(monkeypatch, 4)
+    forked = _paper_run(method, epochs_per_task=1)
+    # the FIFO never fills before the last boundary, which reaps in task order
+    assert _kinds(children) == ["fork"] * 4 + ["reap"] * 4
+    assert _pids(children, "reap") == _pids(children, "fork")
+    monkeypatch.delattr(os, "fork")
+    inline = _paper_run(method, epochs_per_task=1)
+    assert (forked.accuracy, forked.avg_accuracy, forked.forgetting) == (
+        inline.accuracy,
+        inline.avg_accuracy,
+        inline.forgetting,
+    )
 
 
 @st.composite
