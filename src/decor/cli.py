@@ -1,17 +1,18 @@
 """Command-line entry point.
 
-    decor run    --config cfg.yaml
-    decor sweep  --config cfg.yaml --grid lambda=0.2,1 K=8,16 probe.lr=0.1
+    decor run    --config cfg.yaml [--grid lambda=0.2,1 K=8,16 probe.lr=0.1]
     decor report --results results/runs.jsonl
 
-`sweep` is `run` at every point of a grid. An axis is any config key
-(`section.key` inside a section) and its values, each read as YAML; every
-point is checked before the first run starts. Each run appends its record
-to <results_dir>/runs.jsonl, the only output, as soon as it ends. `report`
-keeps the last record per (config, seed) and prints one row per config:
-the mean and std over seeds of the final A_T / F_T, the mean peak stored
-state (the decor index table or the LwF teacher), and the `key=value`
-settings that tell the rows apart.
+`run` runs the config at every point of its grid; without `--grid` the
+grid is the config's one point. `sweep` is another name for `run`, so
+`decor sweep` without `--grid` runs that one point too. An axis is any
+config key (`section.key` inside a section) and its values, each read as
+YAML; every point is checked before the first run starts. Each run
+appends its record to <results_dir>/runs.jsonl, the only output, as soon
+as it ends. `report` keeps the last record per (config, seed) and prints
+one row per config: the mean and std over seeds of the final A_T / F_T,
+the mean peak stored state (the decor index table or the LwF teacher),
+and the `key=value` settings that tell the rows apart.
 
 Exit codes: 0 success, 1 runtime failure or missing/empty inputs,
 2 invalid configuration (the message names the offending key).
@@ -149,20 +150,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the configured runs")
+    p_run = sub.add_parser("run", aliases=["sweep"], help="run the config at every point of its grid")
     p_run.add_argument("--config", required=True, help="YAML config path")
-    p_run.set_defaults(fn=cmd_run, grid=[])
-
-    p_sweep = sub.add_parser("sweep", help="execute the configured runs at every point of a grid")
-    p_sweep.add_argument("--config", required=True, help="YAML config path")
-    p_sweep.add_argument(
+    p_run.add_argument(
         "--grid",
-        required=True,
         nargs="+",
+        default=[],
         metavar="KEY=V1,V2",
         help="any config key, section.key inside a section; e.g. lambda=0.2,1 K=8,16 probe.lr=0.1",
     )
-    p_sweep.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run)
 
     p_report = sub.add_parser("report", help="summarize a results file")
     p_report.add_argument("--results", required=True, help="runs.jsonl path")

@@ -2,15 +2,19 @@
 
 `run_sequence` trains an encoder through an ordered task sequence, probing
 the frozen encoder at the end of every task. Every method runs through one
-training step, built from two parts named by the method table in `config`:
+training step, `_step`, the one place where the loss
 
-- the base objective picks the views and the head: one augmented view
-  through the classifier with cross-entropy over the seen classes, or two
-  views through the projector with NT-Xent;
-- the regularizer is a hook on view 0's gradients: none, LwF (adds
-  lwf_weight * dKL to the head output gradient) or decor (the index
-  predictor's lam-weighted gradient is added to the encoder output
-  gradient).
+    L = L_base + lwf_weight * KL + lam * L_pd
+
+is formed, from two parts named by the method table in `config`:
+
+- L_base picks the views and the head: cross-entropy over the seen classes
+  on one augmented view through the classifier, or NT-Xent on two views
+  through the projector;
+- the regularizer is a hook on view 0 and the other term is 0: none, LwF
+  (KL from the teacher snapshot on the head output) or decor (L_pd, the
+  cross-entropy of the index predictor on the encoder output against the
+  stored indices).
 
 At each boundary LwF snapshots the encoder and head, and decor clusters
 the next task's features into the index table. The probe only reads the
@@ -72,27 +76,25 @@ from .seeds import sub_seed
 
 
 class AccuracyMatrix:
-    """Lower-triangular accuracy store; each (t, j) written exactly once."""
+    """Lower-triangular accuracy store; each (t, j) written once, NaN until then."""
 
     def __init__(self, T: int):
         if T < 1:
             raise ConfigError(f"T must be >= 1, got {T}")
         self.T = T
         self._values = np.full((T, T), np.nan)
-        self._written = np.zeros((T, T), dtype=bool)
 
     def set_entry(self, t: int, j: int, value: float) -> None:
         self._check_coords(t, j)
-        if self._written[t - 1, j - 1]:
+        if not np.isnan(self._values[t - 1, j - 1]):
             raise StateError(f"A[{t}][{j}] already written")
         if not 0.0 <= value <= 100.0:
             raise ConfigError(f"accuracy {value} outside [0, 100]")
         self._values[t - 1, j - 1] = value
-        self._written[t - 1, j - 1] = True
 
     def entry(self, t: int, j: int) -> float:
         self._check_coords(t, j)
-        if not self._written[t - 1, j - 1]:
+        if np.isnan(self._values[t - 1, j - 1]):
             raise StateError(f"A[{t}][{j}] not written yet")
         return float(self._values[t - 1, j - 1])
 
@@ -101,7 +103,7 @@ class AccuracyMatrix:
             raise IndexError(f"need 1 <= j <= t <= {self.T}, got t={t}, j={j}")
 
     def row_complete(self, t: int) -> bool:
-        return bool(self._written[t - 1, :t].all())
+        return not np.isnan(self._values[t - 1, :t]).any()
 
     def rows(self) -> list[list[float]]:
         """Lower-triangular contents as nested lists (row t has t entries)."""
@@ -120,10 +122,6 @@ def max_forgetting(A: AccuracyMatrix, t: int) -> float:
 
     Defined as 0 at t=1 (empty sum).
     """
-    if t == 1:
-        if not A.row_complete(1):
-            raise StateError("row 1 incomplete")
-        return 0.0
     for tau in range(1, t + 1):
         if not A.row_complete(tau):
             raise StateError(f"row {tau} incomplete")
@@ -131,7 +129,7 @@ def max_forgetting(A: AccuracyMatrix, t: int) -> float:
     for j in range(1, t):
         best = max(A.entry(tau, j) for tau in range(j, t + 1))
         total += best - A.entry(t, j)
-    return total / (t - 1)
+    return total / max(t - 1, 1)
 
 
 @dataclass
@@ -222,6 +220,52 @@ class _SgdMomentum:
         self._velocity.pop(name, None)
 
 
+def _step(
+    config: ExperimentConfig, modules: dict, batch: tuple, seen_mask: np.ndarray,
+    state: DecorState | None, teacher: TeacherSnapshot | None,
+) -> tuple[dict[str, float], dict[str, nn.GradientSet]]:
+    """One step on `batch` = (x, labels, sample_ids, aug_cfg); moves no parameter.
+
+    Returns (losses, grads): base, kl, pd and total = base + lwf_weight * kl
+    + lam * pd, with kl and pd 0.0 where their regularizer is off, and the
+    gradient of total for each module to be stepped.
+    """
+    x, labels, sample_ids, aug_cfg = batch
+    encoder, head = modules["encoder"], modules["head"]
+    contrastive = METHODS[config.method][0] == "simclr"
+    views = augment_two_views(x, aug_cfg) if contrastive else (augment_view(x, aug_cfg),)
+    feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
+    outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
+    if contrastive:
+        base, douts = nt_xent_loss(*outs, config.nt_xent_temperature)
+        douts = list(douts)
+    else:
+        base, dout = supervised_ce_loss(outs[0], labels, class_mask=seen_mask)
+        douts = [dout]
+    losses = {"base": base, "kl": 0.0, "pd": 0.0}
+    grads = {}
+
+    # regularizer hooks, both on view 0: LwF on the head output, decor on the
+    # encoder output
+    if teacher is not None:
+        losses["kl"], dkl = lwf_distill_loss(teacher, outs[0], views[0])
+        douts[0] = douts[0] + config.lwf_weight * dkl
+    head_grads, dfeats = zip(*(nn.backward(head, c, d) for c, d in zip(head_caches, douts)))
+    dfeats = list(dfeats)
+    if state is not None and config.lam != 0.0:
+        predictor = modules["predictor"]
+        plogits, p_cache = nn.forward_cached(predictor, feats[0])
+        losses["pd"], dplogits = distill_loss(plogits, state, sample_ids)
+        grads["predictor"], dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
+        dfeats[0] = dfeats[0] + dfeats_pd
+
+    enc_grads = [nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)]
+    grads["encoder"] = reduce(nn.add_grads, enc_grads)
+    grads["head"] = reduce(nn.add_grads, head_grads)
+    losses["total"] = losses["base"] + config.lwf_weight * losses["kl"] + config.lam * losses["pd"]
+    return losses, grads
+
+
 def _probe(probe_args: tuple) -> tuple[str, object]:
     """`evaluate_probe(*probe_args)` as ("ok", accuracies) or ("error", exception)."""
     try:
@@ -309,23 +353,20 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     identity = config.identity()
     in_dim = tasks[0].feature_dim
 
-    encoder = nn.init_network(
-        [in_dim, *config.encoder_hidden, config.encoder_out],
-        seed=sub_seed(seed, "init-encoder"),
-    )
     if contrastive:
-        head = nn.init_network(
-            [config.encoder_out, config.projector_hidden, config.projector_out],
-            seed=sub_seed(seed, "init-projector"),
-        )
+        head_dims, head_stream = [config.projector_hidden, config.projector_out], "init-projector"
     else:
-        head = nn.init_network(
-            [config.encoder_out, num_classes], seed=sub_seed(seed, "init-classifier")
-        )
+        head_dims, head_stream = [num_classes], "init-classifier"
+    # the modules `_step` trains; "predictor" joins once decor has a state
+    modules = {
+        "encoder": nn.init_network(
+            [in_dim, *config.encoder_hidden, config.encoder_out], seed=sub_seed(seed, "init-encoder")
+        ),
+        "head": nn.init_network([config.encoder_out, *head_dims], seed=sub_seed(seed, head_stream)),
+    }
 
     optimizer = _SgdMomentum(config.lr, config.momentum)
     state: DecorState | None = None
-    predictor = None
     teacher: TeacherSnapshot | None = None
     teacher_bytes = 0
 
@@ -364,10 +405,8 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                 raise ConfigError(f"task {task.task_id} has no train rows")
 
             if state is not None:
-                predictor = init_index_predictor(
-                    config.predictor_config(),
-                    config.encoder_out,
-                    seed=sub_seed(seed, "init-predictor", t),
+                modules["predictor"] = init_index_predictor(
+                    config.predictor_config(), config.encoder_out, seed=sub_seed(seed, "init-predictor", t)
                 )
                 optimizer.reset("predictor")
             storage_bits_per_task.append(0 if state is None else storage_bits(len(state), state.K))
@@ -384,39 +423,10 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                             if contrastive and len(rows) < 2:
                                 continue  # a lone pair has no negatives
                             aug_cfg = config.augmentation_config(sub_seed(seed, "augment", t, epoch, b))
-                            x = train_x[rows]
-                            if contrastive:
-                                views = augment_two_views(x, aug_cfg)
-                            else:
-                                views = (augment_view(x, aug_cfg),)
-                            feats, enc_caches = zip(*(nn.forward_cached(encoder, v) for v in views))
-                            outs, head_caches = zip(*(nn.forward_cached(head, f) for f in feats))
-                            if contrastive:
-                                douts = list(nt_xent_loss(*outs, config.nt_xent_temperature)[1])
-                            else:
-                                douts = [supervised_ce_loss(outs[0], train_y[rows], class_mask=seen_mask)[1]]
-
-                            # regularizer hooks, both on view 0: LwF on the head output,
-                            # decor on the encoder output
-                            if teacher is not None:
-                                _, dkl = lwf_distill_loss(teacher, outs[0], views[0])
-                                douts[0] = douts[0] + config.lwf_weight * dkl
-                            head_grads, dfeats = zip(
-                                *(nn.backward(head, c, d) for c, d in zip(head_caches, douts))
-                            )
-                            dfeats = list(dfeats)
-                            if state is not None and config.lam != 0.0:
-                                plogits, p_cache = nn.forward_cached(predictor, feats[0])
-                                _, dplogits = distill_loss(plogits, state, train_ids[rows])
-                                pred_grads, dfeats_pd = nn.backward(predictor, p_cache, config.lam * dplogits)
-                                dfeats[0] = dfeats[0] + dfeats_pd
-                                predictor = optimizer.step("predictor", predictor, pred_grads)
-
-                            enc_grads = [
-                                nn.backward(encoder, c, d, input_grad=False)[0] for c, d in zip(enc_caches, dfeats)
-                            ]
-                            encoder = optimizer.step("encoder", encoder, reduce(nn.add_grads, enc_grads))
-                            head = optimizer.step("head", head, reduce(nn.add_grads, head_grads))
+                            batch = (train_x[rows], train_y[rows], train_ids[rows], aug_cfg)
+                            _, grads = _step(config, modules, batch, seen_mask, state, teacher)
+                            for name, g in grads.items():
+                                modules[name] = optimizer.step(name, modules[name], g)
             except NumericError as exc:
                 where = f"{config.method} seed {seed} task {t} epoch {epoch + 1} step {b + 1}"
                 raise NumericError(f"{where}: {exc}") from exc
@@ -425,6 +435,7 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
             # the next. Before the last boundary the probe starts in a child
             # that runs beside the next tasks; the last one runs here while
             # the children in flight end.
+            encoder = modules["encoder"]
             probe_args = (encoder, tasks[:t], num_classes, config.probe_config(sub_seed(seed, "probe", t)))
             if len(in_flight) == max_children:
                 collect_oldest()
@@ -438,13 +449,11 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
                 in_flight.append((t, *child))
 
             if reg == "lwf":
-                teacher = TeacherSnapshot.capture(encoder, head, config.lwf_temperature)
+                teacher = TeacherSnapshot.capture(encoder, modules["head"], config.lwf_temperature)
                 teacher_bytes = max(teacher_bytes, teacher.num_bytes())
             if reg == "decor" and t < config.T:
                 next_x, _, next_ids = tasks[t].train_view()
-                state = increment(
-                    encoder, next_x, config.K, seed=sub_seed(seed, "kmeans", t), sample_ids=next_ids
-                )
+                state = increment(encoder, next_x, config.K, sub_seed(seed, "kmeans", t), next_ids)
             wall_ms_per_task.append((time.perf_counter() - task_start) * 1000.0)
     finally:
         for _, pid, read_fd in in_flight:  # the run failed: kill and reap every child

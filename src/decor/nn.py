@@ -106,15 +106,15 @@ def init_dense(
     return DenseParams(weights, np.zeros(out_dim), activation)
 
 
-def init_network(dims: list[int], seed: int, hidden_activation: str = "rectifier") -> Network:
-    """Build a fresh network; hidden layers use `hidden_activation`, the final
-    layer is identity (heads apply their own loss on raw logits)."""
+def init_network(dims: list[int], seed: int) -> Network:
+    """Build a fresh network; hidden layers are rectifiers, the final layer is
+    identity (heads apply their own loss on raw logits)."""
     if len(dims) < 2:
         raise ConfigError("need at least input and output dims")
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(len(dims) - 1):
-        act = hidden_activation if i < len(dims) - 2 else "identity"
+        act = "rectifier" if i < len(dims) - 2 else "identity"
         layers.append(init_dense(dims[i], dims[i + 1], rng, act))
     return Network(layers)
 

@@ -101,13 +101,9 @@ class DecorState:
 
 
 def increment(
-    encoder: nn.Network,
-    new_task_inputs: np.ndarray,
-    K: int,
-    seed: int,
-    sample_ids=None,
+    encoder: nn.Network, new_task_inputs: np.ndarray, K: int, seed: int, sample_ids
 ) -> DecorState:
-    """Boundary step: encode, cluster, keep only the indices.
+    """Boundary step: encode, cluster, keep only the indices of `sample_ids`.
 
     One forward pass over the raw task inputs (no augmentation) with the
     encoder untouched; the fitted codebook is dropped on return.
@@ -115,10 +111,6 @@ def increment(
     x = np.asarray(new_task_inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got shape {x.shape}")
-    if x.shape[0] < K:
-        raise ConfigError(f"need at least K={K} samples, got {x.shape[0]}")
-    if sample_ids is None:
-        sample_ids = np.arange(x.shape[0], dtype=np.int64)
     features = nn.forward(encoder, x)
     _, assignment = kmeans_fit(features, K, seed=seed)
     return DecorState(sample_ids, assignment.indices, K)

@@ -191,6 +191,19 @@ def test_sweep_runs_every_grid_point(tmp_path, capsys):
     assert [row[:2] for row in _report_rows(capsys, runs)] == [["decor", "1"]] * 4
 
 
+def test_run_takes_a_grid_and_sweep_without_one_runs_the_one_point(tmp_path):
+    config = _write_config(tmp_path, {**TINY, "method": "decor"})
+    runs = tmp_path / "results" / "runs.jsonl"
+
+    def written_K():
+        return [json.loads(line)["config"]["K"] for line in runs.read_text(encoding="utf-8").splitlines()]
+
+    assert cli.main(["run", "--config", config, "--grid", "K=4,8"]) == 0
+    assert written_K() == [4, 8]
+    assert cli.main(["sweep", "--config", config]) == 0
+    assert written_K() == [4, 8, TINY["K"]]
+
+
 @pytest.mark.parametrize(
     "grid, key",
     [

@@ -11,14 +11,24 @@ import signal
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decor import harness
-from decor.config import config_from_dict
-from decor.errors import NumericError, StateError
+from decor import harness, nn
+from decor.config import METHODS, config_from_dict
+from decor.errors import ConfigError, NumericError, StateError
 from decor.harness import AccuracyMatrix, average_accuracy, max_forgetting, run_sequence
-from oracles import naive_average_accuracy, naive_max_forgetting
+from decor.objectives import (
+    TeacherSnapshot,
+    augment_two_views,
+    augment_view,
+    lwf_distill_loss,
+    nt_xent_loss,
+    supervised_ce_loss,
+)
+from decor.regularizer import DecorState, distill_loss, init_index_predictor
+from oracles import finite_difference_check, naive_average_accuracy, naive_max_forgetting
 
 SMALL = {
     "T": 3,
@@ -237,6 +247,76 @@ def test_four_cpus_keep_every_probe_child_in_flight(method, children, monkeypatc
     )
 
 
+# lambda and lwf.weight away from 1, so that a factor dropped from the loss
+# or from a gradient shows
+STEP = {
+    "lambda": 0.7,
+    "lwf": {"weight": 0.5},
+    "K": 5,
+    "encoder": {"hidden_dims": [7], "out_dim": 6},
+    "projector": {"hidden_dim": 5, "out_dim": 4},
+    "predictor": {"hidden_dim": 5},
+}
+
+
+def _step_args(method):
+    """`_step`'s arguments for one batch of 10 rows: 8 inputs, 4 of 6 classes
+    seen, and the teacher or the index table of 50 ids where the method has one."""
+    config = config_from_dict({**STEP, "method": method})
+    base, reg = METHODS[method]
+    rng = np.random.default_rng(0)
+    encoder_dims, head_dims = [8, 7, 6], [6, 5, 4] if base == "simclr" else [6, 6]
+    modules = {
+        "encoder": nn.init_network(encoder_dims, seed=1),
+        "head": nn.init_network(head_dims, seed=2),
+        "predictor": init_index_predictor(config.predictor_config(), 6, seed=3),
+    }
+    batch = (rng.standard_normal((10, 8)), rng.integers(0, 4, 10), rng.permutation(50)[:10])
+    state = DecorState(np.arange(50), rng.integers(0, 5, 50), 5) if reg == "decor" else None
+    teacher = None
+    if reg == "lwf":
+        teacher_nets = nn.init_network(encoder_dims, seed=4), nn.init_network(head_dims, seed=5)
+        teacher = TeacherSnapshot.capture(*teacher_nets, config.lwf_temperature)
+    seen_mask = np.arange(6) < 4
+    return config, modules, (*batch, config.augmentation_config(6)), seen_mask, state, teacher
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_the_step_gradients_are_those_of_its_total(method):
+    config, modules, batch, seen_mask, state, teacher = _step_args(method)
+    _, grads = harness._step(config, modules, batch, seen_mask, state, teacher)
+    assert set(grads) == {"encoder", "head"} | ({"predictor"} if state is not None else set())
+    for name, grad in grads.items():
+
+        def loss_fn(net, _):
+            losses, _ = harness._step(config, {**modules, name: net}, batch, seen_mask, state, teacher)
+            return (0.7 * losses["pd"] if name == "predictor" else losses["total"]), grad
+
+        assert finite_difference_check(modules[name], loss_fn, None, max_params=60) < 1e-6, name
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_the_step_total_is_the_sum_of_its_kernel_losses(method):
+    config, modules, batch, seen_mask, state, teacher = _step_args(method)
+    losses, _ = harness._step(config, modules, batch, seen_mask, state, teacher)
+    x, labels, sample_ids, aug_cfg = batch
+    if METHODS[method][0] == "simclr":
+        views = augment_two_views(x, aug_cfg)
+        feats = [nn.forward(modules["encoder"], v) for v in views]
+        outs = [nn.forward(modules["head"], f) for f in feats]
+        base = nt_xent_loss(*outs, config.nt_xent_temperature)[0]
+    else:
+        views = [augment_view(x, aug_cfg)]
+        feats = [nn.forward(modules["encoder"], views[0])]
+        outs = [nn.forward(modules["head"], feats[0])]
+        base = supervised_ce_loss(outs[0], labels, class_mask=seen_mask)[0]
+    kl = 0.0 if teacher is None else lwf_distill_loss(teacher, outs[0], views[0])[0]
+    pd = 0.0 if state is None else distill_loss(nn.forward(modules["predictor"], feats[0]), state, sample_ids)[0]
+    assert (kl != 0.0, pd != 0.0) == (teacher is not None, state is not None)
+    expected = {"base": base, "kl": kl, "pd": pd, "total": base + 0.5 * kl + 0.7 * pd}
+    assert losses == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @st.composite
 def _lower_triangles(draw):
     T = draw(st.integers(1, 6))
@@ -253,3 +333,40 @@ def test_metrics_match_the_naive_formulas(rows):
     for t in range(1, len(rows) + 1):
         assert average_accuracy(A, t) == pytest.approx(naive_average_accuracy(rows, t), abs=1e-9)
         assert max_forgetting(A, t) == pytest.approx(naive_max_forgetting(rows, t), abs=1e-9)
+
+
+def test_an_entry_is_written_once():
+    A = AccuracyMatrix(2)
+    A.set_entry(2, 1, 50.0)
+    with pytest.raises(StateError, match=r"A\[2\]\[1\] already written"):
+        A.set_entry(2, 1, 60.0)
+    assert A.entry(2, 1) == 50.0
+
+
+def test_an_entry_read_before_it_is_written_is_refused():
+    A = AccuracyMatrix(2)
+    A.set_entry(1, 1, 0.0)
+    assert A.entry(1, 1) == 0.0
+    with pytest.raises(StateError, match=r"A\[2\]\[2\] not written yet"):
+        A.entry(2, 2)
+
+
+def test_metrics_refuse_an_incomplete_row():
+    A = AccuracyMatrix(3)
+    A.set_entry(1, 1, 90.0)
+    A.set_entry(2, 2, 80.0)
+    assert not A.row_complete(2)
+    with pytest.raises(StateError, match="row 2 incomplete"):
+        average_accuracy(A, 2)
+    with pytest.raises(StateError, match="row 2 incomplete"):
+        max_forgetting(A, 3)
+    with pytest.raises(StateError, match="row 1 incomplete"):
+        max_forgetting(AccuracyMatrix(1), 1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -0.5, 100.5])
+def test_an_accuracy_outside_0_to_100_is_refused(value):
+    A = AccuracyMatrix(1)
+    with pytest.raises(ConfigError, match="outside"):
+        A.set_entry(1, 1, value)
+    assert not A.row_complete(1)

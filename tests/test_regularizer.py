@@ -41,23 +41,25 @@ class TestIncrement:
     def test_index_count_matches_samples(self):
         encoder = nn.init_network([6, 8, 4], seed=0)
         x = np.random.default_rng(1).standard_normal((25, 6))
-        state = increment(encoder, x, K=5, seed=2)
+        state = increment(encoder, x, K=5, seed=2, sample_ids=np.arange(25))
         assert len(state) == 25
 
     def test_encoder_untouched(self):
         encoder = nn.init_network([6, 8, 4], seed=0)
         checksum = nn.parameter_checksum(encoder)
-        increment(encoder, np.random.default_rng(3).standard_normal((20, 6)), K=4, seed=0)
+        x = np.random.default_rng(3).standard_normal((20, 6))
+        increment(encoder, x, K=4, seed=0, sample_ids=np.arange(20))
         assert nn.parameter_checksum(encoder) == checksum
 
     def test_too_few_samples(self):
         encoder = nn.init_network([4, 3], seed=0)
-        with pytest.raises(ConfigError):
-            increment(encoder, np.ones((3, 4)), K=5, seed=0)
+        with pytest.raises(ConfigError, match="need at least K=5 samples, got 3"):
+            increment(encoder, np.ones((3, 4)), K=5, seed=0, sample_ids=np.arange(3))
 
     def test_no_code_vectors_in_state(self):
         encoder = nn.init_network([4, 3], seed=0)
-        state = increment(encoder, np.random.default_rng(0).standard_normal((12, 4)), K=3, seed=1)
+        x = np.random.default_rng(0).standard_normal((12, 4))
+        state = increment(encoder, x, K=3, seed=1, sample_ids=np.arange(12))
         # the serialized record has room only for header + packed indices
         blob = serialize_state(state)
         assert len(blob) == HEADER_BYTES + (12 * 2 + 7) // 8
@@ -65,7 +67,7 @@ class TestIncrement:
 
 
 def _run_increment(encoder, x, K):
-    return increment(encoder, x, K=K, seed=0)
+    return increment(encoder, x, K=K, seed=0, sample_ids=np.arange(len(x)))
 
 
 class TestPredictor:
