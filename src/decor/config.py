@@ -129,9 +129,17 @@ class ExperimentConfig:
                 per_task = self.num_classes // self.T * synthetic.train_per_class
                 self._check_codes_fit(per_task, "each task of the synthetic data")
 
+    def regularizer(self) -> str:
+        """The method's regularizer, or "none" where its weight is 0: a term
+        that adds nothing to the loss is not computed."""
+        reg = METHODS[self.method][1]
+        if (reg == "decor" and self.lam == 0) or (reg == "lwf" and self.lwf_weight == 0):
+            return "none"
+        return reg
+
     def _check_codes_fit(self, train_rows: int, where: str) -> None:
         """decor clusters the train rows of tasks 2..T into K codes."""
-        if METHODS[self.method][1] == "decor" and self.K > train_rows:
+        if self.regularizer() == "decor" and self.K > train_rows:
             raise ConfigError(
                 f"K: {self.K} codes need at least {self.K} train samples per task, "
                 f"but {where} has {train_rows}"

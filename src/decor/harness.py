@@ -22,19 +22,20 @@ frozen encoder, and no probe depends on another, so on Linux every
 boundary's probe but the last runs in a forked child beside the next
 tasks' training and K-means, with up to one child per CPU the process may
 use; elsewhere, and at the last boundary, it runs in the calling process.
-The probe results fill a lower-triangular AccuracyMatrix, in task order,
-from which the average seen-task accuracy A_t and the mean maximum
-forgetting F_t are computed:
+Boundary t's probe result is appended, in task order, as row t of the
+run's accuracy rows: A[t][j] for j <= t. From rows 1..t come the average
+seen-task accuracy A_t and the mean maximum forgetting F_t:
 
     A_t = (1/t) * sum_{j<=t} A[t][j]
     F_t = (1/(t-1)) * sum_{j<t} max_{tau<=t} (A[tau][j] - A[t][j])
 
 One run is deterministic for any core count given (config, seed):
-every random choice flows through a named sub-seed stream, so enabling the
-regularizer with weight 0 replays the finetune trajectory bit for bit, and
-a probe gives the same bits in a child as inline. A training step that
-goes non-finite raises a NumericError naming the method, seed, task, epoch
-and step; a probe that does, one naming the method, seed and task.
+every random choice flows through a named sub-seed stream, and a
+regularizer at weight 0 does not run, so decor at lambda 0 and LwF at
+weight 0 replay the finetune trajectory bit for bit; a probe gives the
+same bits in a child as inline. A training step that goes non-finite
+raises a NumericError naming the method, seed, task, epoch and step; a
+probe that does, one naming the method, seed and task.
 """
 
 from __future__ import annotations
@@ -75,61 +76,22 @@ from .regularizer import (
 from .seeds import sub_seed
 
 
-class AccuracyMatrix:
-    """Lower-triangular accuracy store; each (t, j) written once, NaN until then."""
-
-    def __init__(self, T: int):
-        if T < 1:
-            raise ConfigError(f"T must be >= 1, got {T}")
-        self.T = T
-        self._values = np.full((T, T), np.nan)
-
-    def set_entry(self, t: int, j: int, value: float) -> None:
-        self._check_coords(t, j)
-        if not np.isnan(self._values[t - 1, j - 1]):
-            raise StateError(f"A[{t}][{j}] already written")
-        if not 0.0 <= value <= 100.0:
-            raise ConfigError(f"accuracy {value} outside [0, 100]")
-        self._values[t - 1, j - 1] = value
-
-    def entry(self, t: int, j: int) -> float:
-        self._check_coords(t, j)
-        if np.isnan(self._values[t - 1, j - 1]):
-            raise StateError(f"A[{t}][{j}] not written yet")
-        return float(self._values[t - 1, j - 1])
-
-    def _check_coords(self, t: int, j: int) -> None:
-        if not (1 <= j <= t <= self.T):
-            raise IndexError(f"need 1 <= j <= t <= {self.T}, got t={t}, j={j}")
-
-    def row_complete(self, t: int) -> bool:
-        return not np.isnan(self._values[t - 1, :t]).any()
-
-    def rows(self) -> list[list[float]]:
-        """Lower-triangular contents as nested lists (row t has t entries)."""
-        return [[float(self._values[t, j]) for j in range(t + 1)] for t in range(self.T)]
+def average_accuracy(rows: list[list[float]]) -> float:
+    """Mean accuracy over all tasks seen by the last of `rows`."""
+    return float(np.mean(rows[-1]))
 
 
-def average_accuracy(A: AccuracyMatrix, t: int) -> float:
-    """Mean accuracy over all tasks seen by the end of task t."""
-    if not A.row_complete(t):
-        raise StateError(f"row {t} incomplete")
-    return float(np.mean([A.entry(t, j) for j in range(1, t + 1)]))
+def max_forgetting(rows: list[list[float]]) -> float:
+    """Mean over past tasks of the last row's drop from the best accuracy
+    any of `rows` gave it.
 
-
-def max_forgetting(A: AccuracyMatrix, t: int) -> float:
-    """Mean over past tasks of the drop from the historical best accuracy.
-
-    Defined as 0 at t=1 (empty sum).
+    Defined as 0 for one row (empty sum).
     """
-    for tau in range(1, t + 1):
-        if not A.row_complete(tau):
-            raise StateError(f"row {tau} incomplete")
     total = 0.0
-    for j in range(1, t):
-        best = max(A.entry(tau, j) for tau in range(j, t + 1))
-        total += best - A.entry(t, j)
-    return total / max(t - 1, 1)
+    for j in range(len(rows) - 1):
+        best = max(row[j] for row in rows[j:])
+        total += best - rows[-1][j]
+    return total / max(len(rows) - 1, 1)
 
 
 @dataclass
@@ -252,7 +214,7 @@ def _step(
         douts[0] = douts[0] + config.lwf_weight * dkl
     head_grads, dfeats = zip(*(nn.backward(head, c, d) for c, d in zip(head_caches, douts)))
     dfeats = list(dfeats)
-    if state is not None and config.lam != 0.0:
+    if state is not None:
         predictor = modules["predictor"]
         plogits, p_cache = nn.forward_cached(predictor, feats[0])
         losses["pd"], dplogits = distill_loss(plogits, state, sample_ids)
@@ -335,17 +297,18 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     FIFO is full first collects the oldest child, so with one CPU at most
     one child exists. The last boundary's probe runs in the calling
     process, as every probe does elsewhere and as one whose fork failed
-    does, and the children still in flight are collected after it. Rows are
-    filled in task order. A task's `wall_ms_per_task` entry thus holds no
-    probe that ran beside training, only the waits for the children it
-    collected. A probe that fails raises its own exception type, naming the
-    method, seed and task. No child outlives the call: when the run fails,
-    every child in flight is killed and reaped.
+    does, and the children still in flight are collected after it. Row t
+    of the accuracy rows is appended in task order. A task's
+    `wall_ms_per_task` entry thus holds no probe that ran beside training,
+    only the waits for the children it collected. A probe that fails
+    raises its own exception type, naming the method, seed and task. No
+    child outlives the call: when the run fails, every child in flight is
+    killed and reaped.
     """
     if config.method not in METHODS:
         raise ConfigError(f"method: unknown value {config.method!r}")
-    base, reg = METHODS[config.method]
-    contrastive = base == "simclr"
+    contrastive = METHODS[config.method][0] == "simclr"
+    reg = config.regularizer()
     validate_task_sequence(tasks)
     if len(tasks) != config.T:
         raise ConfigError(f"config.T={config.T} but {len(tasks)} tasks supplied")
@@ -370,23 +333,23 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
     teacher: TeacherSnapshot | None = None
     teacher_bytes = 0
 
-    matrix = AccuracyMatrix(config.T)
+    accuracy: list[list[float]] = []  # row t: boundary t's probe of tasks 1..t
     storage_bits_per_task: list[int] = []
     state_bytes_per_task: list[int] = []
     wall_ms_per_task: list[float] = []
-    avg_acc: list[float] = []
-    forgetting: list[float] = []
     seen_mask = np.zeros(num_classes, dtype=bool)
 
     def record_probe(t: int, outcome: tuple[str, object]) -> None:
-        """Fill row t from a probe's outcome; an error is re-raised naming the run and task."""
+        """Append row t from a probe's outcome; an error is re-raised naming the run and task."""
         kind, value = outcome
         if kind == "error":
             raise type(value)(f"{config.method} seed {seed} task {t} probe: {value}") from value
-        for j, acc in enumerate(value, start=1):
-            matrix.set_entry(t, j, acc)
-        avg_acc.append(average_accuracy(matrix, t))
-        forgetting.append(max_forgetting(matrix, t))
+        if t != len(accuracy) + 1 or len(value) != t:
+            raise StateError(f"row {t} of {len(value)} entries cannot follow {len(accuracy)} rows")
+        for acc in value:
+            if not 0.0 <= acc <= 100.0:
+                raise ConfigError(f"accuracy {acc} outside [0, 100]")
+        accuracy.append(value)
 
     def collect_oldest() -> None:
         done, *child = in_flight.popleft()
@@ -467,9 +430,9 @@ def run_sequence(config: ExperimentConfig, tasks: list[TaskDataset], seed: int) 
         seed=seed,
         config_hash=identity_hash(identity),
         config=identity,
-        accuracy=matrix.rows(),
-        avg_accuracy=avg_acc,
-        forgetting=forgetting,
+        accuracy=accuracy,
+        avg_accuracy=[average_accuracy(accuracy[:t]) for t in range(1, config.T + 1)],
+        forgetting=[max_forgetting(accuracy[:t]) for t in range(1, config.T + 1)],
         storage_bits_per_task=storage_bits_per_task,
         state_bytes_per_task=state_bytes_per_task,
         teacher_bytes=teacher_bytes,

@@ -120,11 +120,7 @@ def init_index_predictor(cfg: PredictorConfig, in_dim: int, seed: int) -> nn.Net
     """Fresh predictor head; re-initialized at every task boundary."""
     if in_dim < 1:
         raise ConfigError(f"in_dim must be >= 1, got {in_dim}")
-    if cfg.L == 1:
-        dims = [in_dim, cfg.K]
-    else:
-        dims = [in_dim] + [cfg.hidden_dim] * (cfg.L - 1) + [cfg.K]
-    return nn.init_network(dims, seed)
+    return nn.init_network([in_dim] + [cfg.hidden_dim] * (cfg.L - 1) + [cfg.K], seed)
 
 
 def distill_loss(predictor_logits: np.ndarray, state: DecorState, sample_ids):

@@ -3,10 +3,10 @@ import json
 import pytest
 import yaml
 
-from decor import cli, config as config_mod
+from decor import cli, config as config_mod, nn
 from decor.config import SCHEMA, ExperimentConfig, identity_hash, load_config
 from decor.data import SyntheticConfig, generate_synthetic_tasks, save_feature_file
-from decor.harness import AccuracyMatrix, run_sequence
+from decor.harness import run_sequence
 from decor.regularizer import DecorState
 
 TINY = {
@@ -113,7 +113,7 @@ def test_report_without_records_exits_1(tmp_path, content):
     "fault, message",
     [
         (lambda: DecorState([1, 2], [0, 1], 2).index_for([7]), "sample id 7 has no stored index"),
-        (lambda: AccuracyMatrix(3).entry(4, 1), "need 1 <= j <= t <= 3, got t=4, j=1"),
+        (lambda: nn.mean_cross_entropy([[0.0, 0.0]], [5]), "target outside [0, 2)"),
     ],
 )
 def test_lookup_errors_exit_1_with_the_message(tmp_path, monkeypatch, capsys, fault, message):

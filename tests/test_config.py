@@ -105,6 +105,8 @@ def test_load_config_errors(tmp_path):
         {"method": "decor", "K": 320},
         {"method": "finetune", "K": 500},
         {"method": "decor", "T": 1, "K": 500, "data": {"num_classes": 2}},
+        # at lambda 0 decor clusters nothing
+        {"method": "decor", "lambda": 0, "K": 500},
     ],
 )
 def test_k_up_to_the_clustered_rows_loads(body):

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from decor import harness, nn
 from decor.config import METHODS, config_from_dict
 from decor.errors import ConfigError, NumericError, StateError
-from decor.harness import AccuracyMatrix, average_accuracy, max_forgetting, run_sequence
+from decor.harness import average_accuracy, max_forgetting, run_sequence
 from decor.objectives import (
     TeacherSnapshot,
     augment_two_views,
@@ -58,18 +58,30 @@ def _run(method, **overrides):
 def test_golden_outputs(method):
     record = _run(method)
     assert (record.accuracy, record.state_bytes_per_task, record.teacher_bytes) == GOLDEN[method]
+    for t in range(1, record.T + 1):
+        assert record.avg_accuracy[t - 1] == naive_average_accuracy(record.accuracy, t)
+        assert record.forgetting[t - 1] == naive_max_forgetting(record.accuracy, t)
 
 
 def test_goldens_tell_every_method_apart():
     assert len({repr(accuracy) for accuracy, _, _ in GOLDEN.values()}) == len(GOLDEN)
 
 
-def test_decor_with_lambda_zero_replays_finetune():
-    decor = _run("decor", **{"lambda": 0})
+def test_decor_with_lambda_zero_replays_finetune(monkeypatch):
+    # a regularizer at weight 0 does not run: decor clusters nothing, LwF
+    # keeps no teacher, and both report finetune's record
+    def refuse(*args, **kwargs):
+        raise AssertionError("a regularizer at weight 0 ran")
+
+    monkeypatch.setattr(harness, "increment", refuse)
+    monkeypatch.setattr(TeacherSnapshot, "capture", refuse)
+    names = [
+        "accuracy", "avg_accuracy", "forgetting", "storage_bits_per_task", "state_bytes_per_task", "teacher_bytes"
+    ]
     finetune = _run("finetune")
-    assert decor.accuracy == finetune.accuracy
-    assert decor.avg_accuracy == finetune.avg_accuracy
-    assert decor.forgetting == finetune.forgetting
+    for method, overrides in [("decor", {"lambda": 0}), ("lwf", {"lwf": {"weight": 0}})]:
+        record = _run(method, **overrides)
+        assert [getattr(record, n) for n in names] == [getattr(finetune, n) for n in names], method
 
 
 @pytest.mark.parametrize("method", ["decor", "simclr+lwf"])
@@ -326,47 +338,19 @@ def _lower_triangles(draw):
 
 @given(_lower_triangles())
 def test_metrics_match_the_naive_formulas(rows):
-    A = AccuracyMatrix(len(rows))
-    for t, row in enumerate(rows, start=1):
-        for j, value in enumerate(row, start=1):
-            A.set_entry(t, j, value)
     for t in range(1, len(rows) + 1):
-        assert average_accuracy(A, t) == pytest.approx(naive_average_accuracy(rows, t), abs=1e-9)
-        assert max_forgetting(A, t) == pytest.approx(naive_max_forgetting(rows, t), abs=1e-9)
-
-
-def test_an_entry_is_written_once():
-    A = AccuracyMatrix(2)
-    A.set_entry(2, 1, 50.0)
-    with pytest.raises(StateError, match=r"A\[2\]\[1\] already written"):
-        A.set_entry(2, 1, 60.0)
-    assert A.entry(2, 1) == 50.0
-
-
-def test_an_entry_read_before_it_is_written_is_refused():
-    A = AccuracyMatrix(2)
-    A.set_entry(1, 1, 0.0)
-    assert A.entry(1, 1) == 0.0
-    with pytest.raises(StateError, match=r"A\[2\]\[2\] not written yet"):
-        A.entry(2, 2)
-
-
-def test_metrics_refuse_an_incomplete_row():
-    A = AccuracyMatrix(3)
-    A.set_entry(1, 1, 90.0)
-    A.set_entry(2, 2, 80.0)
-    assert not A.row_complete(2)
-    with pytest.raises(StateError, match="row 2 incomplete"):
-        average_accuracy(A, 2)
-    with pytest.raises(StateError, match="row 2 incomplete"):
-        max_forgetting(A, 3)
-    with pytest.raises(StateError, match="row 1 incomplete"):
-        max_forgetting(AccuracyMatrix(1), 1)
+        assert average_accuracy(rows[:t]) == pytest.approx(naive_average_accuracy(rows, t), abs=1e-9)
+        assert max_forgetting(rows[:t]) == pytest.approx(naive_max_forgetting(rows, t), abs=1e-9)
 
 
 @pytest.mark.parametrize("value", [float("nan"), -0.5, 100.5])
-def test_an_accuracy_outside_0_to_100_is_refused(value):
-    A = AccuracyMatrix(1)
+def test_an_accuracy_outside_0_to_100_is_refused(value, monkeypatch):
+    monkeypatch.setattr(harness, "_probe", lambda probe_args: ("ok", [value] * len(probe_args[1])))
     with pytest.raises(ConfigError, match="outside"):
-        A.set_entry(1, 1, value)
-    assert not A.row_complete(1)
+        _run("finetune", epochs_per_task=1)
+
+
+def test_a_probe_row_of_the_wrong_length_is_refused(monkeypatch):
+    monkeypatch.setattr(harness, "_probe", lambda probe_args: ("ok", [50.0]))
+    with pytest.raises(StateError, match="^row 2 of 1 entries cannot follow 1 rows$"):
+        _run("finetune", epochs_per_task=1)

@@ -1,5 +1,6 @@
-"""Every public function and class in the library or the benchmark has a
-caller there: a name that only its own test reaches is dead code."""
+"""Every public function, class, method and property in the library or the
+benchmark has a caller there: a name that only its own test reaches is
+dead code."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,16 @@ def _names(node: ast.AST) -> list[str]:
     return found
 
 
+def _definitions(tree: ast.Module):
+    """The module's top-level functions and classes, and the methods and
+    properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (member for member in node.body if isinstance(member, ast.FunctionDef))
+
+
 def test_every_public_definition_has_a_caller():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     uses: dict[str, int] = {}
@@ -32,8 +43,8 @@ def test_every_public_definition_has_a_caller():
             uses[name] = uses.get(name, 0) + 1
     unused = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        for node in _definitions(tree):
+            if not node.name.startswith("_"):
                 # references inside its own body (recursion) do not count
                 if uses.get(node.name, 0) == _names(node).count(node.name):
                     unused.append(f"{path.relative_to(ROOT)}: {node.name}")
